@@ -1,20 +1,16 @@
 //! Criterion bench: bit-parallel simulation throughput — the substrate
 //! every phase (profiling, MERO, coverage evaluation) stands on.
 //!
-//! Four variants per circuit:
+//! Two variants per circuit:
 //!
 //! * `scalar` — the reference gate-at-a-time interpreter
 //!   ([`htforge_bench::scalar`]), the pre-kernel baseline;
-//! * `compiled/1t`, `compiled/2t`, `compiled/max` — the
-//!   [`SimProgram`] instruction tape at fixed thread counts.
+//! * `compiled` — the [`SimProgram`] instruction tape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use htforge_sim::{PatternSet, SimProgram};
 
 fn bench_simulation(c: &mut Criterion) {
-    let max_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let mut group = c.benchmark_group("simulation");
     for name in ["c2670", "c6288", "s13207"] {
         let nl = htforge_circuits::load(name).expect("known circuit");
@@ -30,15 +26,9 @@ fn bench_simulation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar", name), &comb, |b, comb| {
             b.iter(|| htforge_bench::scalar::simulate(comb, &patterns).len());
         });
-        for (label, threads) in [
-            ("compiled/1t", 1),
-            ("compiled/2t", 2),
-            ("compiled/max", max_threads),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, name), &prog, |b, prog| {
-                b.iter(|| prog.run_with_threads(&patterns, threads).len());
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("compiled", name), &prog, |b, prog| {
+            b.iter(|| prog.run(&patterns).len());
+        });
     }
     group.finish();
 }

@@ -1,38 +1,26 @@
 //! Simulation-kernel throughput baseline: writes `BENCH_sim.json` at the
 //! repository root.
 //!
-//! Three sections:
+//! Sections:
 //!
 //! * **Large batch** — for each circuit, patterns/second of the
 //!   reference gate-at-a-time interpreter ([`htforge_bench::scalar`])
-//!   and of the compiled [`SimProgram`] kernel at 1, 2 and
-//!   `available_parallelism` threads over 16 384 random patterns. The
-//!   compiled/max row on a ≥2000-gate circuit is the number the
-//!   kernel's ≥2× acceptance bar is checked against.
-//! * **Small batch** — 64-pattern (1-word) and 256-pattern (4-word)
-//!   runs under every forced [`KernelStrategy`], the MERO/sequential
-//!   regime where column parallelism alone degrades to one worker.
-//! * **Wide lanes** — forced lane widths W∈{1,4,8} plus the unblocked
-//!   plane at one thread over 2 048 patterns; every row records
-//!   `patterns_per_sec` per `lane_width` and W=4/8 speedups over the
-//!   W=1 narrow baseline.
-//! * **Incremental** — a persistent `DeltaSim` session answering
-//!   1-bit-flip queries against a 64-pattern base vs a full kernel run,
-//!   with the average dirty-set size (`dirty_set_size` step-words) per
-//!   row — the MERO / cube-validation regime.
+//!   and of the compiled [`SimProgram`] kernel over 16 384 random
+//!   patterns.
+//! * **Small batch** — one 64-pattern (1-word) run per circuit, the
+//!   regime of MERO refinement, cube checks and the sequential stepper.
 //! * **MERO refinement** — `generate_tests` (compile per call) vs
 //!   `generate_tests_with_sim` (one shared compiled tape) end to end on
 //!   c2670.
 //! * **Pattern append** — `PatternSet::extend_from` word-blit vs the
 //!   per-bit path on a 10 000-pattern append (the MERO growth loop).
 //!
-//! Every row records `host_threads` and the planner's chosen strategy
-//! so single-core-runner numbers are machine-detectable. When
-//! `HTFORGE_OBS` is set, a run report goes to
-//! `results/report_bench_sim.json` after the timed section — the
-//! `sim.kernel_strategy` / `sim.kernel_threads_effective` gauges in it
-//! come from one final 1-word c5315 planner run, not from the timings
-//! (the recorder stays off while the clock is running).
+//! Every row records `host_threads` so numbers from different hosts are
+//! machine-distinguishable. When `HTFORGE_OBS` is set, a run report goes
+//! to `results/report_bench_sim.json` after the timed section — its
+//! `sim.*` counters and gauges come from one final 1-word c5315 run,
+//! not from the timings (the recorder stays off while the clock is
+//! running).
 //!
 //! Run with `cargo run --release -p htforge-bench --bin bench_sim`
 //! (`--quick` trims repetitions for CI).
@@ -41,18 +29,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use htforge_obs::{Json, RunReport};
-use htforge_sim::{KernelStrategy, PatternSet, SimProgram};
+use htforge_sim::{PatternSet, SimProgram};
 
 const VECTORS: usize = 16_384;
 const APPEND_PATTERNS: usize = 10_000;
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-
-const ALL_STRATEGIES: [KernelStrategy; 4] = [
-    KernelStrategy::Single,
-    KernelStrategy::Column,
-    KernelStrategy::Level,
-    KernelStrategy::Hybrid,
-];
 
 /// Median seconds per run over `runs` timed repetitions (after one
 /// untimed warm-up).
@@ -78,7 +59,7 @@ fn main() {
         .unwrap_or(1);
     let mut rows = Vec::new();
 
-    // ---- Large batch: scalar vs compiled at 1/2/max threads --------
+    // ---- Large batch: scalar vs compiled ----------------------------
     for name in ["c2670", "c5315", "c6288", "s13207"] {
         let nl = htforge_circuits::load(name).expect("known circuit");
         let comb = if nl.dffs().is_empty() {
@@ -97,195 +78,52 @@ fn main() {
         let scalar = time_median(runs, || {
             htforge_bench::scalar::simulate(&comb, &patterns).len()
         });
-        let t1 = time_median(runs, || prog.run_with_threads(&patterns, 1).len());
-        let t2 = time_median(runs, || prog.run_with_threads(&patterns, 2).len());
-        let tmax = time_median(runs, || {
-            prog.run_with_threads(&patterns, host_threads).len()
-        });
+        let compiled = time_median(runs, || prog.run(&patterns).len());
 
         let pps = |sec: f64| VECTORS as f64 / sec;
-        let strat = |threads: usize| prog.plan(VECTORS, threads).strategy.name();
         eprintln!(
-            "{name}: {} gates | scalar {:.2e} pat/s | compiled 1t {:.2e} ({:.2}x) | 2t {:.2e} ({:.2}x) | {host_threads}t {:.2e} ({:.2}x)",
+            "{name}: {} gates | scalar {:.2e} pat/s | compiled {:.2e} ({:.2}x)",
             comb.gate_count(),
             pps(scalar),
-            pps(t1),
-            scalar / t1,
-            pps(t2),
-            scalar / t2,
-            pps(tmax),
-            scalar / tmax,
+            pps(compiled),
+            scalar / compiled,
         );
 
         let mut row = String::new();
         let _ = write!(
             row,
-            "    {{\n      \"bench\": \"large_batch\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {VECTORS},\n      \"host_threads\": {host_threads},\n      \"strategy\": {{\n        \"compiled_1t\": \"{}\",\n        \"compiled_2t\": \"{}\",\n        \"compiled_max\": \"{}\"\n      }},\n      \"patterns_per_sec\": {{\n        \"scalar\": {:.1},\n        \"compiled_1t\": {:.1},\n        \"compiled_2t\": {:.1},\n        \"compiled_max\": {:.1}\n      }},\n      \"speedup_vs_scalar\": {{\n        \"compiled_1t\": {:.2},\n        \"compiled_2t\": {:.2},\n        \"compiled_max\": {:.2}\n      }}\n    }}",
+            "    {{\n      \"bench\": \"large_batch\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {VECTORS},\n      \"host_threads\": {host_threads},\n      \"patterns_per_sec\": {{\n        \"scalar\": {:.1},\n        \"compiled\": {:.1}\n      }},\n      \"speedup_vs_scalar\": {:.2}\n    }}",
             comb.gate_count(),
-            strat(1),
-            strat(2),
-            strat(host_threads),
             pps(scalar),
-            pps(t1),
-            pps(t2),
-            pps(tmax),
-            scalar / t1,
-            scalar / t2,
-            scalar / tmax,
+            pps(compiled),
+            scalar / compiled,
         );
         rows.push(row);
     }
 
-    // ---- Small batch: every strategy in the 1-word / 4-word regime -
-    for name in ["c2670", "c5315"] {
-        let nl = htforge_circuits::load(name).expect("known circuit");
-        let prog = SimProgram::compile(&nl).expect("combinational");
-        for len in [64usize, 256] {
-            let patterns = PatternSet::random(nl.inputs().len(), len, 7);
-            let runs = if quick { 5 } else { 25 };
-            let planner = prog.plan(len, host_threads);
-            let mut speeds = Vec::new();
-            for strategy in ALL_STRATEGIES {
-                let sec = time_median(runs, || {
-                    prog.run_with_strategy(&patterns, strategy, host_threads)
-                        .len()
-                });
-                speeds.push((strategy.name(), len as f64 / sec));
-            }
-            eprintln!(
-                "{name}/{len}p: planner {} ({} workers) | {}",
-                planner.strategy.name(),
-                planner.workers,
-                speeds
-                    .iter()
-                    .map(|(s, v)| format!("{s} {v:.2e} pat/s"))
-                    .collect::<Vec<_>>()
-                    .join(" | "),
-            );
-            let per_strategy = speeds
-                .iter()
-                .map(|(s, v)| format!("        \"{s}\": {v:.1}"))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            let mut row = String::new();
-            let _ = write!(
-                row,
-                "    {{\n      \"bench\": \"small_batch\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {len},\n      \"host_threads\": {host_threads},\n      \"strategy\": \"{}\",\n      \"strategy_workers\": {},\n      \"patterns_per_sec\": {{\n{per_strategy}\n      }}\n    }}",
-                nl.gate_count(),
-                planner.strategy.name(),
-                planner.workers,
-            );
-            rows.push(row);
-        }
-    }
-
-    // ---- Wide lanes: forced W=1/4/8 vs the unblocked plane ---------
-    // Single-thread, ≥1024-pattern runs: the regime the W∈{4,8} blocked
-    // executors are specified against. `lane_width` 0 is the planner's
-    // production (unblocked variable-width) plane; 1 is the honest
-    // narrow one-word baseline the wide widths are measured over.
-    for name in ["c2670", "c5315", "c6288", "s13207"] {
-        let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
-        let prog = SimProgram::compile(&comb).expect("combinational");
-        let len = 2_048usize;
-        let patterns = PatternSet::random(comb.inputs().len(), len, 21);
-        let runs = if quick { 3 } else { 9 };
-        let mut secs = Vec::new();
-        for lanes in [0usize, 1, 4, 8] {
-            let sec = time_median(runs, || prog.run_with_lanes(&patterns, lanes, 1).len());
-            secs.push((lanes, sec));
-        }
-        let sec_of = |w: usize| secs.iter().find(|&&(l, _)| l == w).unwrap().1;
-        let pps = |sec: f64| len as f64 / sec;
-        eprintln!(
-            "{name}/{len}p wide lanes: unblocked {:.2e} pat/s | w1 {:.2e} | w4 {:.2e} ({:.2}x) | w8 {:.2e} ({:.2}x)",
-            pps(sec_of(0)),
-            pps(sec_of(1)),
-            pps(sec_of(4)),
-            sec_of(1) / sec_of(4),
-            pps(sec_of(8)),
-            sec_of(1) / sec_of(8),
-        );
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\n      \"bench\": \"wide_lane\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {len},\n      \"host_threads\": {host_threads},\n      \"threads\": 1,\n      \"patterns_per_sec\": {{\n        \"lane_width_0\": {:.1},\n        \"lane_width_1\": {:.1},\n        \"lane_width_4\": {:.1},\n        \"lane_width_8\": {:.1}\n      }},\n      \"speedup_vs_w1\": {{\n        \"lane_width_4\": {:.2},\n        \"lane_width_8\": {:.2}\n      }}\n    }}",
-            comb.gate_count(),
-            pps(sec_of(0)),
-            pps(sec_of(1)),
-            pps(sec_of(4)),
-            pps(sec_of(8)),
-            sec_of(1) / sec_of(4),
-            sec_of(1) / sec_of(8),
-        );
-        rows.push(row);
-    }
-
-    // ---- Incremental: 1-bit flip DeltaSim vs a full kernel run -----
-    // The MERO / cube-validation regime: one 64-pattern word, one input
-    // bit flipped per query. The session should settle the changed cone
-    // in a small fraction of a full tape walk.
+    // ---- Small batch: one 64-pattern word ---------------------------
     for name in ["c2670", "c5315"] {
         let nl = htforge_circuits::load(name).expect("known circuit");
         let prog = SimProgram::compile(&nl).expect("combinational");
         let len = 64usize;
-        let patterns = PatternSet::random(nl.inputs().len(), len, 13);
-        let runs = if quick { 25 } else { 101 };
-        let full = time_median(runs, || prog.run(&patterns).len());
-
-        let mut session = prog.delta_sim(patterns.clone());
-        let num_inputs = nl.inputs().len();
-        let mut turn = 0usize;
-        let mut dirty_total = 0usize;
-        let mut dirty_samples = 0usize;
-        let delta = time_median(runs, || {
-            let input = turn % num_inputs;
-            turn += 1;
-            let old = session.patterns().get(input, 17);
-            session.set_input(input, 17, !old);
-            match session.propagate() {
-                htforge_sim::DeltaOutcome::Incremental { step_words } => {
-                    dirty_total += step_words;
-                    dirty_samples += 1;
-                    step_words.max(1)
-                }
-                htforge_sim::DeltaOutcome::FullFallback => 1,
-            }
-        });
-        let full_step_words = prog.steps() * PatternSet::words_for(len);
-        let avg_dirty = if dirty_samples > 0 {
-            dirty_total as f64 / dirty_samples as f64
-        } else {
-            0.0
-        };
-        eprintln!(
-            "{name}/{len}p incremental: full {:.2e}s | 1-bit delta {:.2e}s ({:.1}% of full) | avg dirty {:.1}/{} step-words",
-            full,
-            delta,
-            100.0 * delta / full,
-            avg_dirty,
-            full_step_words,
-        );
+        let patterns = PatternSet::random(nl.inputs().len(), len, 7);
+        let runs = if quick { 5 } else { 25 };
+        let sec = time_median(runs, || prog.run(&patterns).len());
+        eprintln!("{name}/{len}p: {:.2e} pat/s", len as f64 / sec);
         let mut row = String::new();
         let _ = write!(
             row,
-            "    {{\n      \"bench\": \"incremental\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {len},\n      \"host_threads\": {host_threads},\n      \"dirty_set_size\": {avg_dirty:.1},\n      \"full_step_words\": {full_step_words},\n      \"seconds\": {{\n        \"full_run\": {full:.3e},\n        \"one_bit_delta\": {delta:.3e}\n      }},\n      \"delta_fraction_of_full\": {:.4}\n    }}",
+            "    {{\n      \"bench\": \"small_batch\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {len},\n      \"host_threads\": {host_threads},\n      \"patterns_per_sec\": {:.1}\n    }}",
             nl.gate_count(),
-            delta / full,
+            len as f64 / sec,
         );
         rows.push(row);
     }
 
     // ---- MERO refinement: shared compiled tape vs per-call compile -
-    // The campaign regime satellite: `generate_tests` pays a fresh
-    // levelization + tape build per call, `generate_tests_with_sim`
-    // reuses one compiled program (and its DeltaSim session machinery)
-    // across the whole campaign.
+    // `generate_tests` pays a fresh levelization + tape build per call,
+    // `generate_tests_with_sim` reuses one compiled program across the
+    // whole campaign.
     {
         use htforge_detect::{DetectionScheme, MeroDetection};
         use htforge_sim::{RareNodeExtractor, Simulator};
@@ -367,34 +205,9 @@ fn main() {
         let nl = htforge_circuits::load("c5315").expect("known circuit");
         let prog = SimProgram::compile(&nl).expect("combinational");
         let patterns = PatternSet::random(nl.inputs().len(), 64, 11);
-        let plan = prog.plan(64, host_threads);
-        let _ = prog.run_with_threads(&patterns, host_threads);
-        // One forced wide run and one 1-bit delta propagate so the
-        // sim.kernel_lanes gauge and the sim.delta_* counters/gauges
-        // appear in the report alongside the strategy gauges.
-        let wide = PatternSet::random(nl.inputs().len(), 1_024, 11);
-        let _ = prog.run_with_lanes(&wide, 8, 1);
-        let mut session = prog.delta_sim(patterns);
-        let flipped = !session.patterns().get(0, 0);
-        session.set_input(0, 0, flipped);
-        let delta_outcome = session.propagate();
+        let _ = prog.run(&patterns);
         let report = RunReport::from_recorder("bench_sim", htforge_obs::global())
-            .with_meta("host_threads", Json::Num(host_threads as f64))
-            .with_meta(
-                "small_batch_strategy",
-                Json::Str(plan.strategy.name().to_owned()),
-            )
-            .with_meta("small_batch_workers", Json::Num(plan.workers as f64))
-            .with_meta(
-                "lane_widths",
-                Json::Arr(vec![
-                    Json::Num(0.0),
-                    Json::Num(1.0),
-                    Json::Num(4.0),
-                    Json::Num(8.0),
-                ]),
-            )
-            .with_meta("delta_outcome", Json::Str(format!("{delta_outcome:?}")));
+            .with_meta("host_threads", Json::Num(host_threads as f64));
         let path = std::path::Path::new("results/report_bench_sim.json");
         report.write_to(path).expect("write run report");
         eprintln!("wrote {}", path.display());

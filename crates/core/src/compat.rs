@@ -11,7 +11,7 @@
 use htforge_atpg::{Cube, Fault, Podem, PodemConfig, PodemMode, TestResult};
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 use htforge_obs::{BudgetTicker, DegradationNote, RunBudget};
-use htforge_sim::RareNodeSet;
+use htforge_sim::{PatternSet, RareNodeSet, SimProgram};
 
 /// Per-thread cube generator: a detect-mode engine with a justify-mode
 /// fallback (a justification cube is all a trigger needs).
@@ -76,6 +76,35 @@ impl CubeWorker {
             }
         }
     }
+}
+
+/// Checks every event's cube by simulation: each cube's `fill_with(false)`
+/// vector becomes one column of a single pattern set, and one kernel run
+/// evaluates them all. An event survives if its node shows the rare value
+/// in its own column. Returns the survivors (in order) and the number
+/// dropped, which is also added to `compat.cube_verify_failures`.
+fn verify_cubes(
+    nl: &Netlist,
+    events: Vec<RareEvent>,
+) -> Result<(Vec<RareEvent>, usize), NetlistError> {
+    let prog = SimProgram::compile(nl)?;
+    let mut vectors = PatternSet::zeros(nl.inputs().len(), 0);
+    for e in &events {
+        vectors.push(&e.cube.fill_with(false));
+    }
+    let values = prog.run(&vectors);
+    let total = events.len();
+    let verified: Vec<RareEvent> = events
+        .into_iter()
+        .enumerate()
+        .filter(|(k, e)| values.value(e.node, *k) == e.rare_value)
+        .map(|(_, e)| e)
+        .collect();
+    let failures = total - verified.len();
+    if failures > 0 {
+        htforge_obs::counter("compat.cube_verify_failures").add(failures as u64);
+    }
+    Ok((verified, failures))
 }
 
 /// One vertex of the compatibility graph: a rare node, its rare value,
@@ -270,32 +299,12 @@ impl CompatGraph {
         }
         dropped -= skipped; // skips are reported separately, not as drops
 
-        // Phase A′: functional re-check of every cube on one incremental
-        // re-simulation session. Consecutive cubes differ in a handful
-        // of care bits, so each check re-evaluates only the cones those
-        // bits feed instead of the whole netlist. A cube that fails to
-        // drive its event (which would take a PODEM defect) is dropped
+        // Phase A′: functional re-check of every cube. A cube that fails
+        // to drive its event (which would take a PODEM defect) is dropped
         // like an unattainable fault — the graph stays sound either way.
         let verify_span = htforge_obs::span("compat_cube_verify");
-        let prog = htforge_sim::SimProgram::compile(nl)?;
-        let mut session = prog.delta_sim(htforge_sim::PatternSet::zeros(nl.inputs().len(), 1));
-        let mut verified = Vec::with_capacity(events.len());
-        for e in events {
-            let vector = e.cube.fill_with(false);
-            for (i, &bit) in vector.iter().enumerate() {
-                if session.patterns().get(i, 0) != bit {
-                    session.set_input(i, 0, bit);
-                }
-            }
-            session.propagate();
-            if session.value(e.node, 0) == e.rare_value {
-                verified.push(e);
-            } else {
-                dropped += 1;
-                htforge_obs::counter("compat.cube_verify_failures").incr();
-            }
-        }
-        let events = verified;
+        let (events, failures) = verify_cubes(nl, events)?;
+        dropped += failures;
         verify_span.finish();
 
         if skipped > 0 {
@@ -488,7 +497,7 @@ mod tests {
     use super::*;
     use htforge_netlist::bench;
     use htforge_sim::tri::justifies;
-    use htforge_sim::{PatternSet, RareNodeExtractor};
+    use htforge_sim::{RareNodeExtractor, Tri};
 
     /// Two disjoint AND cones: their outputs are rare-1 and *compatible*
     /// (disjoint supports). A third node forces a conflict.
@@ -621,5 +630,55 @@ z = NOR(a, b)
                 .any(|n| n.phase == "compat_graph" && n.action == "skipped_faults"),
             "{notes:?}"
         );
+    }
+
+    #[test]
+    fn batched_cube_check_drops_a_cube_that_misses_its_event() {
+        // 130 hand-built cubes (two full words plus a 2-bit tail word)
+        // over c2670. Every third input is left X so the false fill is
+        // exercised; the event of cube k is gate k's value under that
+        // fill, taken from a separate one-pattern run per cube. Cube 129,
+        // in the tail word, claims the opposite value and must go.
+        let nl = htforge_circuits::load("c2670").unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
+        let inputs = nl.inputs().len();
+        let gates: Vec<NodeId> = nl
+            .node_ids()
+            .filter(|&id| matches!(nl.node(id).kind(), htforge_netlist::NodeKind::Gate(_)))
+            .collect();
+        let random = PatternSet::random(inputs, 130, 0xC0BE);
+        let bad = 129;
+        let events: Vec<RareEvent> = (0..130)
+            .map(|k| {
+                let cube = Cube::from_tris(
+                    (0..inputs)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                Tri::X
+                            } else {
+                                Tri::from_bool(random.get(i, k))
+                            }
+                        })
+                        .collect(),
+                );
+                let node = gates[k * 7 % gates.len()];
+                let filled = PatternSet::from_vectors(inputs, &[cube.fill_with(false)]);
+                let value = prog.run(&filled).value(node, 0);
+                RareEvent {
+                    node,
+                    rare_value: if k == bad { !value } else { value },
+                    cube,
+                }
+            })
+            .collect();
+
+        let failures_before = htforge_obs::counter("compat.cube_verify_failures").get();
+        let (verified, failures) = verify_cubes(&nl, events.clone()).unwrap();
+        assert_eq!(failures, 1);
+        assert_eq!(verified.len(), 129);
+        let mut expected = events;
+        expected.remove(bad);
+        assert_eq!(verified, expected, "survivors keep their order");
+        assert!(htforge_obs::counter("compat.cube_verify_failures").get() > failures_before);
     }
 }

@@ -579,11 +579,9 @@ impl InsertionFramework {
 }
 
 /// Functional validation of one emitted design: under its activation
-/// cube the trigger must fire, and the payload gate must show the
-/// configured effect (`Flip` inverts the victim net, `ForceZero`/
-/// `ForceOne` pin it). The check runs on an incremental re-simulation
-/// session over an all-zero base, so only the cube's care-bit cones are
-/// evaluated.
+/// cube (X bits filled with 0) the trigger must fire, and the payload
+/// gate must show the configured effect (`Flip` inverts the victim net,
+/// `ForceZero`/`ForceOne` pin it). One 1-pattern kernel run checks both.
 fn validate_functional(design: &InfectedDesign, index: usize) -> Result<(), InsertionError> {
     let cut = if design.netlist.dffs().is_empty() {
         design.netlist.clone()
@@ -598,24 +596,18 @@ fn validate_functional(design: &InfectedDesign, index: usize) -> Result<(), Inse
         "activation cube width must match the scan-cut input count"
     );
     let prog = htforge_sim::SimProgram::compile(&cut)?;
-    let mut session = prog.delta_sim(PatternSet::zeros(vector.len(), 1));
-    for (i, &bit) in vector.iter().enumerate() {
-        if bit {
-            session.set_input(i, 0, true);
-        }
-    }
-    session.propagate();
-    if !session.value(trojan.trigger_output, 0) {
+    let values = prog.run(&PatternSet::from_vectors(vector.len(), &[vector]));
+    if !values.value(trojan.trigger_output, 0) {
         return Err(InsertionError::Internal(format!(
             "activation cube fails to fire the trigger of instance {index}"
         )));
     }
     let expected = match trojan.payload_kind {
-        PayloadKind::Flip => !session.value(trojan.payload_net, 0),
+        PayloadKind::Flip => !values.value(trojan.payload_net, 0),
         PayloadKind::ForceZero => false,
         PayloadKind::ForceOne => true,
     };
-    if session.value(trojan.payload_gate, 0) != expected {
+    if values.value(trojan.payload_gate, 0) != expected {
         return Err(InsertionError::Internal(format!(
             "payload gate of instance {index} does not show the {:?} effect",
             trojan.payload_kind
@@ -649,6 +641,7 @@ fn sorted_members(members: &[usize]) -> Vec<usize> {
 mod tests {
     use super::*;
     use htforge_sim::simulator::BoundSimulator;
+    use htforge_sim::Tri;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -890,5 +883,62 @@ mod tests {
             theta: 2.0,
             ..InsertionConfig::default()
         });
+    }
+
+    /// One emitted c17 design that passes validation as emitted.
+    fn validated_c17_design() -> InfectedDesign {
+        let nl = htforge_circuits::load("c17").unwrap();
+        let cfg = InsertionConfig {
+            theta: 0.30,
+            ..quick_config(2, 1)
+        };
+        let mut outcome = InsertionFramework::new(cfg).run(&nl).unwrap();
+        let design = outcome.infected.remove(0);
+        validate_functional(&design, 0).expect("emitted designs validate");
+        design
+    }
+
+    #[test]
+    fn validation_rejects_a_cube_that_does_not_fire_the_trigger() {
+        let mut design = validated_c17_design();
+        // Invert every care bit: the trigger's rare leaves now see their
+        // common values.
+        let cube = &mut design.trojan.activation_cube;
+        for i in 0..cube.width() {
+            match cube.get(i) {
+                Tri::Zero => cube.set(i, Tri::One),
+                Tri::One => cube.set(i, Tri::Zero),
+                Tri::X => {}
+            }
+        }
+        let v = design.trojan.activation_cube.fill_with(false);
+        let vals = BoundSimulator::new(&design.netlist)
+            .unwrap()
+            .run(&PatternSet::from_vectors(v.len(), &[v]));
+        assert!(!vals.value(design.trojan.trigger_output, 0), "precondition");
+        match validate_functional(&design, 3) {
+            Err(InsertionError::Internal(msg)) => {
+                assert!(
+                    msg.contains("fails to fire the trigger of instance 3"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected Internal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_payload_gate_without_the_configured_effect() {
+        let mut design = validated_c17_design();
+        assert_eq!(design.trojan.payload_kind, PayloadKind::Flip);
+        // Point the payload gate at the victim net itself: under the
+        // cube it shows the victim's value, never its inversion.
+        design.trojan.payload_gate = design.trojan.payload_net;
+        match validate_functional(&design, 5) {
+            Err(InsertionError::Internal(msg)) => {
+                assert!(msg.contains("payload gate of instance 5"), "{msg}")
+            }
+            other => panic!("expected Internal, got {other:?}"),
+        }
     }
 }

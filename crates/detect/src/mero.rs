@@ -10,17 +10,13 @@
 //! time, accepting a flip when it increases the number of satisfied rare
 //! events. We batch 64 candidate flips into one bit-parallel simulation
 //! and accept the best flip of each batch — the same greedy hill-climb,
-//! one simulation per 64 candidate bits. The per-vector *scoring*
-//! queries (the climb's starting score and the final keep-check) run
-//! through one persistent [`DeltaSim`] session instead: between
-//! consecutive queries only a handful of input bits move, so the
-//! session re-evaluates the changed fanout cones rather than the whole
-//! tape. The candidate batches stay on the full kernel — 64 flips dirty
-//! most of the circuit at once, which is exactly the regime where the
-//! bit-parallel walk wins (and where the session would just fall back).
+//! one simulation per 64 candidate bits. The current vector's
+//! satisfied-event flags need no simulation of their own: they start as
+//! the vector's column of the pool run, and each accepted flip replaces
+//! them with the winning column of the batch that scored it.
 
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
-use htforge_sim::{DeltaSim, PatternSet, RareNodeSet, Simulator};
+use htforge_sim::{NodeValues, PatternSet, RareNodeSet, Simulator};
 
 use crate::scheme::DetectionScheme;
 
@@ -67,34 +63,19 @@ impl MeroDetection {
         }
     }
 
+    /// Per-event satisfied flags of one pattern of `values`.
+    fn satisfied(values: &NodeValues, pattern: usize, events: &[(NodeId, bool)]) -> Vec<bool> {
+        events
+            .iter()
+            .map(|&(node, want)| values.value(node, pattern) == want)
+            .collect()
+    }
+
     /// Number of rare events satisfied by the node values of one pattern.
-    fn count_satisfied(
-        values: &htforge_sim::NodeValues,
-        pattern: usize,
-        events: &[(NodeId, bool)],
-    ) -> usize {
+    fn count_satisfied(values: &NodeValues, pattern: usize, events: &[(NodeId, bool)]) -> usize {
         events
             .iter()
             .filter(|&&(node, want)| values.value(node, pattern) == want)
-            .count()
-    }
-
-    /// Moves the one-pattern delta session to `vector` (staging only the
-    /// bits that differ) and propagates the changed cones.
-    fn sync_session(session: &mut DeltaSim<'_>, vector: &[bool]) {
-        for (i, &bit) in vector.iter().enumerate() {
-            if session.patterns().get(i, 0) != bit {
-                session.set_input(i, 0, bit);
-            }
-        }
-        session.propagate();
-    }
-
-    /// Number of rare events satisfied by the session's current pattern.
-    fn count_satisfied_session(session: &DeltaSim<'_>, events: &[(NodeId, bool)]) -> usize {
-        events
-            .iter()
-            .filter(|&&(node, want)| session.value(node, 0) == want)
             .count()
     }
 
@@ -134,10 +115,6 @@ impl MeroDetection {
             order.sort_by_key(|&p| std::cmp::Reverse(scores[p]));
         }
 
-        // One incremental session serves every single-pattern query in
-        // the campaign; each sync re-simulates only the bits that moved.
-        let mut session = sim.program().delta_sim(PatternSet::zeros(num_inputs, 1));
-
         let mut counts = vec![0usize; events.len()];
         let mut tests = PatternSet::zeros(num_inputs, 0);
 
@@ -146,9 +123,11 @@ impl MeroDetection {
                 break;
             }
             let mut vector = pool.pattern(p);
+            // Which events `vector` satisfies, kept in step with every
+            // accepted flip.
+            let mut sat = Self::satisfied(&pool_values, p, &events);
             if !events.is_empty() {
-                Self::sync_session(&mut session, &vector);
-                let mut current = Self::count_satisfied_session(&session, &events);
+                let mut current = sat.iter().filter(|&&s| s).count();
                 // Hill-climb over input bits, 64 candidate flips per sim.
                 for chunk_start in (0..num_inputs).step_by(64) {
                     let chunk_end = (chunk_start + 64).min(num_inputs);
@@ -159,35 +138,28 @@ impl MeroDetection {
                         batch.push(&flipped);
                     }
                     let vals = sim.run_on(golden, &batch);
-                    let mut best: Option<(usize, usize)> = None; // (bit, score)
-                    for (k, i) in (chunk_start..chunk_end).enumerate() {
+                    let mut best: Option<(usize, usize)> = None; // (column, score)
+                    for k in 0..chunk_end - chunk_start {
                         let score = Self::count_satisfied(&vals, k, &events);
                         if score > current && best.is_none_or(|(_, s)| score > s) {
-                            best = Some((i, score));
+                            best = Some((k, score));
                         }
                     }
-                    if let Some((bit, score)) = best {
+                    if let Some((k, score)) = best {
+                        let bit = chunk_start + k;
                         vector[bit] = !vector[bit];
                         current = score;
+                        sat = Self::satisfied(&vals, k, &events);
                     }
                 }
             }
 
             // Keep the vector if it advances any event's N-detect count.
-            // Only the accepted flips separate the session from `vector`,
-            // so this propagates at most one cone per climb acceptance.
-            Self::sync_session(&mut session, &vector);
-            let mut useful = events.is_empty();
-            for (e, &(node, want)) in events.iter().enumerate() {
-                if session.value(node, 0) == want && counts[e] < self.n {
-                    useful = true;
-                }
-            }
+            let useful =
+                events.is_empty() || sat.iter().zip(&counts).any(|(&s, &c)| s && c < self.n);
             if useful {
-                for (e, &(node, want)) in events.iter().enumerate() {
-                    if session.value(node, 0) == want {
-                        counts[e] += 1;
-                    }
+                for (count, &s) in counts.iter_mut().zip(&sat) {
+                    *count += usize::from(s);
                 }
                 tests.push(&vector);
             }
@@ -298,5 +270,27 @@ mod tests {
             .generate_tests(&nl, &rare)
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn c2670_output_is_pinned() {
+        // Test count and FNV-1a digest of the packed test set at the
+        // `detect` benchmark's MERO settings: how the climb keeps its
+        // satisfied-event flags must not change a single generated bit.
+        let nl = htforge_circuits::load("c2670").unwrap().scan_cut();
+        let profile = PatternSet::random(nl.inputs().len(), 10_000, 1);
+        let rare = RareNodeExtractor::new(0.2).extract(&nl, &profile).unwrap();
+        let tests = MeroDetection::new(5, 2_500, 1)
+            .generate_tests(&nl, &rare)
+            .unwrap();
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..tests.num_inputs() {
+            for &w in tests.input_words(i) {
+                digest = (digest ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(rare.len(), 326);
+        assert_eq!(tests.len(), 99);
+        assert_eq!(digest, 0xc783_16e4_feda_98bf);
     }
 }

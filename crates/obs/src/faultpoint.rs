@@ -26,8 +26,6 @@ use std::time::Duration;
 /// Every faultpoint compiled into the workspace, in pipeline order.
 /// Chaos tests iterate this list; [`arm`] rejects names not on it.
 pub const CATALOG: &[&str] = &[
-    "sim.level_worker",
-    "sim.delta_propagate",
     "rare.extract_chunk",
     "podem.generate",
     "compat.cube",

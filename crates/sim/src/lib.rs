@@ -4,9 +4,8 @@
 //! built on (§III-B):
 //!
 //! * [`patterns`] — bit-packed input pattern sets and random generation,
+//! * [`program`] — the compiled simulation kernel every caller runs on,
 //! * [`simulator`] — 64-way bit-parallel 2-valued simulation,
-//! * [`delta`] — event-driven incremental re-simulation (dirty-cone
-//!   propagation over the levelized tape, with full-run fallback),
 //! * [`tri`] — three-valued (0/1/X) logic and cube simulation,
 //! * [`prob`] — signal-probability estimation,
 //! * [`rare`] — **rare-node extraction, paper Algorithm 1**,
@@ -35,7 +34,6 @@
 //! # }
 //! ```
 
-pub mod delta;
 pub mod patterns;
 pub mod prob;
 pub mod program;
@@ -45,9 +43,8 @@ pub mod sequential;
 pub mod simulator;
 pub mod tri;
 
-pub use delta::{DeltaOutcome, DeltaSim};
 pub use patterns::PatternSet;
-pub use program::{KernelPlan, KernelStrategy, LevelPlan, SimProgram};
+pub use program::SimProgram;
 pub use rare::{RareNode, RareNodeExtractor, RareNodeSet};
 pub use seq_batch::{BatchedSequentialSimulator, FirstFireMonitor};
 pub use sequential::{CycleSnapshot, SequentialSimulator};

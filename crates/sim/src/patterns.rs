@@ -225,20 +225,6 @@ impl PatternSet {
         &self.bits[input]
     }
 
-    /// Block-major view of one input column: words `[w0, w0 + width)`.
-    /// The wide-lane kernel reads its `[u64; W]` input blocks through
-    /// this without any transpose or copy — the packed column layout is
-    /// already block-major for every block width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is out of range or the block exceeds the
-    /// column's word count.
-    #[must_use]
-    pub fn input_block(&self, input: usize, w0: usize, width: usize) -> &[u64] {
-        &self.bits[input][w0..w0 + width]
-    }
-
     /// Overwrites one input column with pre-packed words (tail bits are
     /// masked). This is the feedback path of the batched sequential
     /// stepper: next-cycle DFF state columns are D-driver columns copied

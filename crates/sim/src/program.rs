@@ -1,9 +1,9 @@
-//! Compiled, multi-threaded bit-parallel simulation kernel.
+//! Compiled bit-parallel simulation kernel.
 //!
 //! [`SimProgram`] lowers a [`Netlist`] **once** into a flat instruction
 //! tape and then evaluates pattern sets against that tape, instead of
 //! re-walking the graph gate-by-gate the way the original interpreter
-//! did. Three properties make the tape fast:
+//! did. Two properties make the tape fast:
 //!
 //! * **SoA layout, no per-gate allocation.** The tape is four parallel
 //!   arrays — opcode, destination, fanin offset, and one contiguous
@@ -11,42 +11,24 @@
 //!   dispatch over [`NodeKind`](htforge_netlist::NodeKind), no `Vec`
 //!   scratch per gate, and specialized opcodes for the 1- and 2-input
 //!   gates that dominate real netlists.
-//! * **Column parallelism.** Values are packed 64 patterns per word, and
-//!   the word *columns* of a pattern set are fully independent: word `w`
-//!   of every node depends only on word `w` of its fanins. With enough
-//!   columns the kernel splits them across scoped [`std::thread`]
-//!   workers with zero synchronization inside the hot loop.
-//! * **Level parallelism.** The tape is emitted in *levelized* order
-//!   (still topological), and [`SimProgram::compile`] records the step
-//!   range of every logic level as a [`LevelPlan`]. All gates of one
-//!   level are independent — every fanin lives at a strictly lower
-//!   level — so workers can split a level's steps between them over one
-//!   shared buffer and meet at a barrier before the next level. This is
-//!   what parallelizes the *small-batch* workloads (≤64 vectors, one
-//!   word per node) where column splitting is impossible by
-//!   construction: MERO-style refinement, per-cube simulation, and
-//!   every cycle of the batched sequential stepper.
+//! * **64 patterns per word.** Values are packed 64 patterns per word
+//!   and stored node-major, so each step reads its fanins' word spans
+//!   and writes its own in one streaming pass.
 //!
-//! [`SimProgram::run_with_threads`] consults a planner
-//! ([`SimProgram::plan`]) that picks column-parallel (words ≥ threads),
-//! level-parallel (one word, wide levels), a hybrid (each column group
-//! runs level-parallel), or plain single-threaded execution, and reports
-//! the choice through the `sim.kernel_strategy` /
-//! `sim.kernel_threads_effective` gauges plus `sim.kernel_run` span
-//! attributes. All strategies are bit-identical — proven per node/word
-//! by `tests/differential_sim.rs` and `tests/differential_seq.rs`.
+//! [`SimProgram::run`] is one single-threaded walk over the whole tape.
+//! Parallelism lives where the work is independent — fault workers in
+//! the compatibility graph, the server's worker pool, per-circuit
+//! campaigns — not inside one evaluation (see `DESIGN.md` §5 for the
+//! measurements behind that choice). Output is bit-identical to the
+//! gate-at-a-time scalar oracle — proven per node and pattern by
+//! `tests/differential_sim.rs` and `tests/differential_seq.rs`.
 //!
 //! The public [`crate::simulator::Simulator`] API is a thin wrapper over
-//! this kernel, so every existing caller — rare-node extraction, signal
+//! this kernel, so every caller — rare-node extraction, signal
 //! probabilities, MERO / ND-ATPG / random detection, coverage
-//! evaluation, fault simulation's good-machine run — upgrades without
-//! code changes.
+//! evaluation, fault simulation's good-machine run — shares it.
 
-use std::any::Any;
-use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError, NodeKind};
 
@@ -77,111 +59,6 @@ enum OpCode {
     XnorN,
 }
 
-/// How one kernel run distributes its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelStrategy {
-    /// One thread walks the whole tape (small workloads, where spawn
-    /// and synchronization overhead dominate).
-    Single,
-    /// Word columns split across workers; no synchronization inside the
-    /// run (many-word pattern sets).
-    Column,
-    /// Each logic level's steps split across workers sharing one
-    /// buffer, with a barrier between levels (one-word pattern sets on
-    /// wide netlists).
-    Level,
-    /// Column groups, each running level-parallel over its own columns
-    /// (a few words, more threads than words).
-    Hybrid,
-}
-
-impl KernelStrategy {
-    /// Stable lowercase name (span attribute / bench row value).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelStrategy::Single => "single",
-            KernelStrategy::Column => "column",
-            KernelStrategy::Level => "level",
-            KernelStrategy::Hybrid => "hybrid",
-        }
-    }
-
-    /// Numeric encoding for the `sim.kernel_strategy` gauge:
-    /// 1 = single, 2 = column, 3 = level, 4 = hybrid.
-    #[must_use]
-    pub fn code(self) -> f64 {
-        match self {
-            KernelStrategy::Single => 1.0,
-            KernelStrategy::Column => 2.0,
-            KernelStrategy::Level => 3.0,
-            KernelStrategy::Hybrid => 4.0,
-        }
-    }
-}
-
-/// The planner's decision for one run: which strategy, how many workers
-/// actually execute, how many the caller asked for, and the wide-lane
-/// block width the column executor will use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelPlan {
-    /// Chosen execution strategy.
-    pub strategy: KernelStrategy,
-    /// Workers that will actually run (the *effective* parallelism —
-    /// may be below the request when columns or levels are too narrow).
-    pub workers: usize,
-    /// The caller's requested thread count, before any clamping.
-    pub requested: usize,
-    /// Data-plane width of the column executor's tape walks, in words:
-    /// 1, 4 or 8 means every walk runs the monomorphized fixed-width
-    /// body (`[u64; W]` per step). For planner-chosen runs that happens
-    /// exactly when a worker's whole span is 1, 4 or 8 words wide — the
-    /// planner never *tiles* a wider span into blocks, because the
-    /// block-major↔node-major conversion is page-scatter-bound and
-    /// loses to one streaming walk at every measured shape (see
-    /// `DESIGN.md`). Forced runs ([`SimProgram::run_with_lanes`]) do
-    /// tile: 4/8 is the wide `[u64; W]` block plane, 1 the narrow
-    /// one-word-per-step plane (the honest W = 1 baseline the bench
-    /// rows compare against). 0 means the runtime-width walk over the
-    /// whole per-worker span. Level and hybrid runs always report 0.
-    pub lanes: usize,
-}
-
-/// The levelized structure of a compiled tape: per-level `[lo, hi)`
-/// step ranges, in ascending level order (empty levels are skipped).
-///
-/// Because the tape is emitted level-sorted, the ranges tile
-/// `0..steps()` exactly; the level executor hands each worker a
-/// balanced contiguous slice of every range.
-#[derive(Debug, Clone)]
-pub struct LevelPlan {
-    ranges: Vec<(u32, u32)>,
-}
-
-impl LevelPlan {
-    /// Number of (non-empty) logic levels.
-    #[must_use]
-    pub fn level_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Per-level `[step_lo, step_hi)` ranges into the tape.
-    #[must_use]
-    pub fn ranges(&self) -> &[(u32, u32)] {
-        &self.ranges
-    }
-
-    /// Gate count of the widest level.
-    #[must_use]
-    pub fn widest(&self) -> usize {
-        self.ranges
-            .iter()
-            .map(|&(lo, hi)| (hi - lo) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// A netlist compiled to a flat simulation tape.
 ///
 /// # Examples
@@ -205,24 +82,19 @@ impl LevelPlan {
 pub struct SimProgram {
     node_count: usize,
     /// `(node, column index into the PatternSet)` for each primary input.
-    /// Crate-visible so [`crate::delta::DeltaSim`] can seed dirty cones
-    /// straight from input columns.
-    pub(crate) input_positions: Vec<(NodeId, usize)>,
+    input_positions: Vec<(NodeId, usize)>,
     /// Per-step opcode, in level-sorted topological order.
     ops: Vec<OpCode>,
-    /// Per-step destination node index (crate-visible for the delta
-    /// executor's change detection).
-    pub(crate) dsts: Vec<u32>,
+    /// Per-step destination node index.
+    dsts: Vec<u32>,
     /// Per-step offset into `pool`; length `ops.len() + 1` so step `s`
     /// reads `pool[offs[s]..offs[s + 1]]`.
-    pub(crate) offs: Vec<u32>,
+    offs: Vec<u32>,
     /// Contiguous fanin node indices for every step.
-    pub(crate) pool: Vec<u32>,
-    /// Levelized step ranges for the level-parallel executor.
-    levels: LevelPlan,
+    pool: Vec<u32>,
     /// Observability handles, fetched once at compile time so each run
-    /// records with one atomic add (`sim.kernel_words`) plus two gauge
-    /// stores, and — only when the recorder is enabled — a throughput
+    /// records with one atomic add (`sim.kernel_words`) plus one gauge
+    /// store, and — only when the recorder is enabled — a throughput
     /// gauge update and a `sim.kernel_run` span.
     metrics: KernelMetrics,
 }
@@ -231,18 +103,10 @@ pub struct SimProgram {
 struct KernelMetrics {
     words: htforge_obs::Counter,
     throughput: htforge_obs::Gauge,
-    /// Last run's [`KernelStrategy::code`].
-    strategy: htforge_obs::Gauge,
-    /// Last run's effective worker count (vs the caller's request,
-    /// which goes on the `sim.kernel_run` span) — makes the "1-core CI
-    /// container" caveat machine-detectable in run reports.
-    threads_effective: htforge_obs::Gauge,
-    /// Last run's wide-lane block width ([`KernelPlan::lanes`]).
-    lanes: htforge_obs::Gauge,
     /// The host's available parallelism, set alongside the throughput
-    /// and thread gauges so a `sim.kernel_words_per_sec` reading from a
-    /// single-core CI container is machine-distinguishable from a
-    /// many-core host number (matches the `host_threads` column of the
+    /// gauge so a `sim.kernel_words_per_sec` reading from a single-core
+    /// CI container is machine-distinguishable from a many-core host
+    /// number (matches the `host_threads` column of the
     /// `BENCH_sim.json` rows).
     host_threads: htforge_obs::Gauge,
 }
@@ -252,106 +116,26 @@ impl KernelMetrics {
         KernelMetrics {
             words: htforge_obs::counter("sim.kernel_words"),
             throughput: htforge_obs::gauge("sim.kernel_words_per_sec"),
-            strategy: htforge_obs::gauge("sim.kernel_strategy"),
-            threads_effective: htforge_obs::gauge("sim.kernel_threads_effective"),
-            lanes: htforge_obs::gauge("sim.kernel_lanes"),
             host_threads: htforge_obs::gauge("sim.host_threads"),
         }
     }
 }
 
-/// The host's available hardware parallelism (1 when unknown).
+/// The host's available hardware parallelism (1 when unknown), queried
+/// once per process: the query reads cgroup files on Linux, which would
+/// cost more than a one-word run of a mid-size circuit.
 fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// A raw view of the shared node-major value buffer, passed to level
-/// workers. Plain `&mut [u64]` splitting cannot express the level
-/// executor's access pattern (each worker writes the *non-contiguous*
-/// destination rows of its step slice), so workers get the base pointer
-/// and the safety argument lives at the spawn site.
-#[derive(Clone, Copy)]
-struct SharedWords {
-    ptr: *mut u64,
-    len: usize,
-}
-
-// SAFETY: `SharedWords` is only handed to scoped workers whose step
-// slices touch disjoint `u64` elements between barriers (see
-// `run_levels`); the buffer outlives the scope.
-unsafe impl Send for SharedWords {}
-unsafe impl Sync for SharedWords {}
-
-/// The column window one executor call operates on: node `n`, column
-/// `k` (`k < width`) lives at `buf[n * stride + col0 + k]`.
-#[derive(Clone, Copy)]
-struct ColumnWindow {
-    stride: usize,
-    col0: usize,
-    width: usize,
-    /// Tail mask for the window's last column, when that column is the
-    /// final (partially filled) word of the pattern set.
-    mask: Option<u64>,
-}
-
-/// One group of the level executor: workers `0..workers` cooperate on
-/// columns `[w0, w0 + width)` with a barrier per level. The hybrid
-/// strategy runs one group per column; pure level mode runs one group
-/// over all columns.
-#[derive(Clone, Copy)]
-struct LevelGroup {
-    w0: usize,
-    width: usize,
-    workers: usize,
-}
-
-/// Sense-reversing spin barrier for the level executor. Levels are
-/// microseconds apart, so parking on a mutex/condvar
-/// ([`std::sync::Barrier`]) would dominate the compute; spinning (with
-/// a yield fallback for oversubscribed hosts) keeps the inter-level gap
-/// in the nanoseconds.
-struct SpinBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        SpinBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arriver: reset the count *before* releasing the
-            // generation, so waiters entering the next round see zero.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.store(generation + 1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 impl SimProgram {
     /// Lowers `nl` into a simulation tape (level-sorted topological
-    /// order, SoA arrays, specialized opcodes) and records the
-    /// [`LevelPlan`] the level-parallel executor needs.
+    /// order, SoA arrays, specialized opcodes).
     ///
     /// Sequential netlists are accepted under the same convention as
     /// [`crate::simulator::Simulator`]: DFF Q outputs listed in
@@ -366,9 +150,7 @@ impl SimProgram {
         // The netlist caches its level column; `level_order` is a
         // counting sort over it — already level-sorted, ties in id
         // order. Since every fanin of a level-L gate sits at a level
-        // < L, the level-sorted tape is a valid topological order for
-        // the sequential executors.
-        let level = nl.levels()?;
+        // < L, the level-sorted tape is a valid topological order.
         let node_count = nl.node_count();
         let input_positions: Vec<(NodeId, usize)> = nl
             .inputs()
@@ -438,16 +220,6 @@ impl SimProgram {
             offs.push(pool.len() as u32);
         }
 
-        // Per-level [lo, hi) step ranges over the now level-sorted tape.
-        let mut ranges: Vec<(u32, u32)> = Vec::new();
-        let mut lo = 0usize;
-        for s in 1..=steps.len() {
-            if s == steps.len() || level[steps[s].index()] != level[steps[lo].index()] {
-                ranges.push((lo as u32, s as u32));
-                lo = s;
-            }
-        }
-
         // Kernel safety invariant: every node index on the tape is in
         // bounds, so the hot loop can use unchecked accesses.
         assert!(
@@ -466,7 +238,6 @@ impl SimProgram {
             dsts,
             offs,
             pool,
-            levels: LevelPlan { ranges },
             metrics: KernelMetrics::from_global(),
         })
     }
@@ -489,15 +260,8 @@ impl SimProgram {
         self.input_positions.len()
     }
 
-    /// The levelized step ranges recorded at compile time.
-    #[must_use]
-    pub fn level_plan(&self) -> &LevelPlan {
-        &self.levels
-    }
-
-    /// Simulates `patterns`, choosing a thread count automatically:
-    /// single-threaded for small workloads (where spawn overhead
-    /// dominates), [`std::thread::available_parallelism`] otherwise.
+    /// Simulates `patterns`: one walk over the tape on the calling
+    /// thread, 64 patterns per word.
     ///
     /// # Panics
     ///
@@ -505,315 +269,36 @@ impl SimProgram {
     /// netlist's input count.
     #[must_use]
     pub fn run(&self, patterns: &PatternSet) -> NodeValues {
-        self.run_with_threads(patterns, self.default_threads(patterns.len()))
-    }
-
-    /// The automatic thread count [`SimProgram::run`] would use for a
-    /// `len`-pattern set.
-    #[must_use]
-    pub fn default_threads(&self, len: usize) -> usize {
-        let words = PatternSet::words_for(len);
-        if words == 0 {
-            return 1;
-        }
-        let avail = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        if words >= 4 {
-            // Column regime. Below ~2^15 word-gate evaluations a spawn
-            // costs more than it saves.
-            if self.steps().saturating_mul(words) < (1 << 15) {
-                1
-            } else {
-                avail.min(words)
-            }
-        } else {
-            // Small-batch regime: only a level split can use extra
-            // workers, and its barriers only pay off on deep tapes.
-            if self.steps() >= Self::LEVEL_AUTO_MIN_STEPS {
-                avail
-            } else {
-                1
-            }
-        }
-    }
-
-    /// Below this many tape steps the automatic heuristic keeps
-    /// small-word runs single-threaded (per-level barrier overhead
-    /// would eat the split's gain on shallow netlists).
-    const LEVEL_AUTO_MIN_STEPS: usize = 4096;
-
-    /// Target byte size of the wide-lane executor's dense scratch tile
-    /// (≈ the L2 size on current parts): wide enough to amortize the
-    /// per-node tile entry/exit copies, small enough that the walks'
-    /// whole working set stays cache-resident.
-    const LANE_TILE_BYTES: usize = 1 << 20;
-
-    /// The data-plane width the tape walk will use for a per-worker
-    /// chunk of `chunk` words (see [`KernelPlan::lanes`]): chunks of
-    /// exactly 1, 4 or 8 words dispatch to the monomorphized
-    /// fixed-width walk; any other width runs the runtime-width body
-    /// (reported as 0).
-    ///
-    /// The planner never tiles a wider chunk into `[u64; W]` blocks:
-    /// measured on the reference runner, the blocked executor's
-    /// block-major↔node-major conversion is page-scatter-bound and
-    /// loses to the streaming unblocked walk at every shape, even for
-    /// buffers hundreds of MB past cache (see `DESIGN.md`). Forced
-    /// wide-lane runs stay available via
-    /// [`SimProgram::run_with_lanes`].
-    fn auto_lanes(&self, chunk: usize) -> usize {
-        match chunk {
-            1 | 4 | 8 => chunk,
-            _ => 0,
-        }
-    }
-
-    /// A level-split worker wants at least this many word-evaluations
-    /// per level; narrower shares are all barrier, no compute.
-    const MIN_WORDS_PER_LEVEL_WORKER: usize = 16;
-
-    /// Most workers a level split can usefully feed: average level
-    /// width divided by the per-worker minimum.
-    fn max_level_workers(&self) -> usize {
-        let levels = self.levels.level_count();
-        if levels == 0 {
-            return 1;
-        }
-        (self.steps() / levels) / Self::MIN_WORDS_PER_LEVEL_WORKER
-    }
-
-    /// Picks the execution strategy for a `len`-pattern run with
-    /// `threads` requested workers. Pure function of the compiled tape
-    /// shape — bench and tests call it to label runs.
-    #[must_use]
-    pub fn plan(&self, len: usize, threads: usize) -> KernelPlan {
-        let words = PatternSet::words_for(len);
-        let requested = threads;
-        let threads = threads.max(1);
-        if words == 0 || threads == 1 || self.steps() == 0 {
-            return KernelPlan {
-                strategy: KernelStrategy::Single,
-                workers: 1,
-                requested,
-                lanes: self.auto_lanes(words),
-            };
-        }
-        if words >= threads {
-            // Enough columns to feed every worker — the cheapest split
-            // (no synchronization at all inside the run).
-            return KernelPlan {
-                strategy: KernelStrategy::Column,
-                workers: threads,
-                requested,
-                lanes: self.auto_lanes(words.div_ceil(threads)),
-            };
-        }
-        // Fewer columns than workers: level-split each column group if
-        // the levels are wide enough to amortize the barriers.
-        let per_column = (threads / words).min(self.max_level_workers());
-        if per_column <= 1 {
-            // One column per worker: every span is exactly one word.
-            let workers = words;
-            return KernelPlan {
-                strategy: if workers == 1 {
-                    KernelStrategy::Single
-                } else {
-                    KernelStrategy::Column
-                },
-                workers,
-                requested,
-                lanes: self.auto_lanes(1),
-            };
-        }
-        if words == 1 {
-            KernelPlan {
-                strategy: KernelStrategy::Level,
-                workers: per_column,
-                requested,
-                lanes: 0,
-            }
-        } else {
-            KernelPlan {
-                strategy: KernelStrategy::Hybrid,
-                workers: words * per_column,
-                requested,
-                lanes: 0,
-            }
-        }
-    }
-
-    /// Simulates `patterns` with `threads` requested workers, routed
-    /// through the planner ([`SimProgram::plan`]). Output is
-    /// bit-identical at every thread count and strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patterns.num_inputs()` differs from the compiled
-    /// netlist's input count.
-    #[must_use]
-    pub fn run_with_threads(&self, patterns: &PatternSet, threads: usize) -> NodeValues {
-        self.run_planned(patterns, self.plan(patterns.len(), threads))
-    }
-
-    /// Simulates `patterns` forcing `strategy` (the differential suites
-    /// and bench rows use this to exercise every executor on the same
-    /// input; production code goes through [`SimProgram::run`] /
-    /// [`SimProgram::run_with_threads`]).
-    ///
-    /// The worker count is still clamped to what the strategy can use:
-    /// `Column` to the column count, `Hybrid` to at least one worker
-    /// per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patterns.num_inputs()` differs from the compiled
-    /// netlist's input count.
-    #[must_use]
-    pub fn run_with_strategy(
-        &self,
-        patterns: &PatternSet,
-        strategy: KernelStrategy,
-        threads: usize,
-    ) -> NodeValues {
-        let words = PatternSet::words_for(patterns.len());
-        let requested = threads;
-        let threads = threads.max(1);
-        let plan = if words == 0 {
-            KernelPlan {
-                strategy: KernelStrategy::Single,
-                workers: 1,
-                requested,
-                lanes: 0,
-            }
-        } else {
-            match strategy {
-                KernelStrategy::Single => KernelPlan {
-                    strategy,
-                    workers: 1,
-                    requested,
-                    lanes: self.auto_lanes(words),
-                },
-                KernelStrategy::Column => {
-                    let workers = threads.min(words);
-                    KernelPlan {
-                        strategy,
-                        workers,
-                        requested,
-                        lanes: self.auto_lanes(words.div_ceil(workers)),
-                    }
-                }
-                KernelStrategy::Level => KernelPlan {
-                    strategy,
-                    workers: threads,
-                    requested,
-                    lanes: 0,
-                },
-                KernelStrategy::Hybrid => KernelPlan {
-                    strategy,
-                    workers: words * (threads / words).max(1),
-                    requested,
-                    lanes: 0,
-                },
-            }
-        };
-        self.run_planned(patterns, plan)
-    }
-
-    /// Simulates `patterns` forcing the column executor's wide-lane
-    /// block width (the differential suites and bench rows use this to
-    /// pit W ∈ {4, 8} against the W = 1 narrow plane on the same
-    /// input; production code goes through [`SimProgram::run`], whose
-    /// planner picks the width from the buffer size).
-    ///
-    /// `lanes = 1` is the narrow plane — every tape walk computes one
-    /// `u64` per step. `lanes = 4/8` widens each walk to a fixed
-    /// `[u64; W]` block. `lanes = 0` forces the unblocked plane (one
-    /// variable-width walk over each worker's whole span). All widths
-    /// are bit-identical; only the throughput differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not 0, 1, 4 or 8, or if
-    /// `patterns.num_inputs()` differs from the compiled netlist's
-    /// input count.
-    #[must_use]
-    pub fn run_with_lanes(
-        &self,
-        patterns: &PatternSet,
-        lanes: usize,
-        threads: usize,
-    ) -> NodeValues {
-        assert!(
-            matches!(lanes, 0 | 1 | 4 | 8),
-            "lane width must be 0 (unblocked), 1, 4 or 8, got {lanes}"
-        );
-        let words = PatternSet::words_for(patterns.len());
-        let requested = threads;
-        let workers = threads.max(1).min(words.max(1));
-        let plan = KernelPlan {
-            strategy: if workers == 1 {
-                KernelStrategy::Single
-            } else {
-                KernelStrategy::Column
-            },
-            workers,
-            requested,
-            lanes,
-        };
-        self.run_planned(patterns, plan)
-    }
-
-    fn run_planned(&self, patterns: &PatternSet, plan: KernelPlan) -> NodeValues {
         assert_eq!(
             patterns.num_inputs(),
             self.input_positions.len(),
             "pattern width does not match netlist input count"
         );
         // Timing and the span only when the recorder is enabled: the
-        // disabled path stays the pre-instrumentation code plus three
-        // relaxed atomic stores.
+        // disabled path stays the kernel plus one atomic add and one
+        // relaxed store.
         let enabled = htforge_obs::enabled();
         let started = enabled.then(std::time::Instant::now);
         let mut span = enabled.then(|| htforge_obs::span("sim.kernel_run"));
 
-        let words_per_node = PatternSet::words_for(patterns.len());
-        let values = match plan.strategy {
-            KernelStrategy::Single => self.run_columns(patterns, 1, plan.lanes),
-            KernelStrategy::Column => self.run_columns(patterns, plan.workers, plan.lanes),
-            KernelStrategy::Level => {
-                let group = LevelGroup {
-                    w0: 0,
-                    width: words_per_node,
-                    workers: plan.workers,
-                };
-                self.run_levels(patterns, &[group])
+        let len = patterns.len();
+        let width = PatternSet::words_for(len);
+        // Zero-initialized: unconnected DFF outputs read as constant 0
+        // (reset state).
+        let mut buf = vec![0u64; self.node_count * width];
+        if width > 0 {
+            for &(node, pos) in &self.input_positions {
+                let base = node.index() * width;
+                buf[base..base + width].copy_from_slice(patterns.input_words(pos));
             }
-            KernelStrategy::Hybrid => {
-                let per_column = (plan.workers / words_per_node).max(1);
-                let groups: Vec<LevelGroup> = (0..words_per_node)
-                    .map(|w| LevelGroup {
-                        w0: w,
-                        width: 1,
-                        workers: per_column,
-                    })
-                    .collect();
-                self.run_levels(patterns, &groups)
-            }
-        };
+            self.walk(&mut buf, width, PatternSet::tail_mask(len));
+        }
 
-        let words_done = (self.steps() * words_per_node) as u64;
+        let words_done = (self.steps() * width) as u64;
         self.metrics.words.add(words_done);
-        self.metrics.strategy.set(plan.strategy.code());
-        self.metrics.threads_effective.set(plan.workers as f64);
-        self.metrics.lanes.set(plan.lanes as f64);
         self.metrics.host_threads.set(host_threads() as f64);
         if let Some(span) = &mut span {
-            span.attr("strategy", plan.strategy.name());
-            span.attr("threads_requested", plan.requested.to_string());
-            span.attr("threads_effective", plan.workers.to_string());
-            span.attr("words", words_per_node.to_string());
-            span.attr("lanes", plan.lanes.to_string());
+            span.attr("words", width.to_string());
             span.attr("host_threads", host_threads().to_string());
         }
         if let Some(t0) = started {
@@ -822,550 +307,130 @@ impl SimProgram {
                 self.metrics.throughput.set(words_done as f64 / dt);
             }
         }
-        values
+        NodeValues::from_raw(len, width, buf)
     }
 
-    fn run_columns(&self, patterns: &PatternSet, threads: usize, lanes: usize) -> NodeValues {
-        let len = patterns.len();
-        let words_per_node = PatternSet::words_for(len);
-        let tail_mask = PatternSet::tail_mask(len);
-        let mut words = vec![0u64; self.node_count * words_per_node];
-
-        if words_per_node == 0 {
-            return NodeValues::from_raw(len, words_per_node, words);
-        }
-
-        let threads = threads.clamp(1, words_per_node);
-        if threads == 1 {
-            self.exec_columns(
-                patterns,
-                0,
-                words_per_node,
-                words_per_node,
-                tail_mask,
-                &mut words,
-                lanes,
-            );
-            return NodeValues::from_raw(len, words_per_node, words);
-        }
-
-        // Columns are embarrassingly parallel: give each worker a
-        // contiguous column range, let it simulate into a dense local
-        // buffer (stride = its chunk width), then stitch the chunks into
-        // the node-major result. The stitch is a per-node contiguous
-        // copy — O(nodes × words) — which is noise next to the
-        // O(steps × words) simulation itself.
-        let base = words_per_node / threads;
-        let extra = words_per_node % threads;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            let mut w0 = 0usize;
-            for t in 0..threads {
-                let chunk = base + usize::from(t < extra);
-                let start = w0;
-                handles.push(scope.spawn(move || {
-                    let mut local = vec![0u64; self.node_count * chunk];
-                    self.exec_columns(
-                        patterns,
-                        start,
-                        chunk,
-                        words_per_node,
-                        tail_mask,
-                        &mut local,
-                        lanes,
-                    );
-                    (start, chunk, local)
-                }));
-                w0 += chunk;
-            }
-            for handle in handles {
-                // Re-raise a worker panic with its original payload so
-                // injected-fault messages survive to the caller.
-                match handle.join() {
-                    Ok((start, chunk, local)) => {
-                        for node in 0..self.node_count {
-                            let dst = node * words_per_node + start;
-                            let src = node * chunk;
-                            words[dst..dst + chunk].copy_from_slice(&local[src..src + chunk]);
-                        }
-                    }
-                    Err(payload) => resume_unwind(payload),
-                }
-            }
-        });
-        NodeValues::from_raw(len, words_per_node, words)
-    }
-
-    /// Runs the tape level by level over one shared node-major buffer,
-    /// one barrier-synchronized worker team per [`LevelGroup`].
-    fn run_levels(&self, patterns: &PatternSet, groups: &[LevelGroup]) -> NodeValues {
-        let len = patterns.len();
-        let words_per_node = PatternSet::words_for(len);
-        let tail_mask = PatternSet::tail_mask(len);
-        let mut words = vec![0u64; self.node_count * words_per_node];
-        if words_per_node == 0 {
-            return NodeValues::from_raw(len, words_per_node, words);
-        }
-
-        // Input columns land in their final node-major rows before any
-        // worker starts; unconnected DFF outputs stay constant 0.
-        for &(node, pos) in &self.input_positions {
-            let base = node.index() * words_per_node;
-            words[base..base + words_per_node].copy_from_slice(patterns.input_words(pos));
-        }
-
-        let shared = SharedWords {
-            ptr: words.as_mut_ptr(),
-            len: words.len(),
-        };
-        let mut first_panic: Option<Box<dyn Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for group in groups {
-                // Each group owns a disjoint column window; inside a
-                // group the per-level step split assigns each worker
-                // disjoint destination rows, so no two threads ever
-                // touch the same u64 between barriers.
-                let barrier = Arc::new(SpinBarrier::new(group.workers));
-                let poisoned = Arc::new(AtomicBool::new(false));
-                for worker in 0..group.workers {
-                    let barrier = Arc::clone(&barrier);
-                    let poisoned = Arc::clone(&poisoned);
-                    let group = *group;
-                    handles.push(scope.spawn(move || {
-                        self.level_worker(
-                            shared,
-                            group,
-                            worker,
-                            &barrier,
-                            &poisoned,
-                            words_per_node,
-                            tail_mask,
-                        );
-                    }));
-                }
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    // Keep the first payload; the others are the same
-                    // injected fault re-raised per worker.
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        });
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        NodeValues::from_raw(len, words_per_node, words)
-    }
-
-    /// One level-executor worker: takes its balanced share of every
-    /// level, meeting the group at the barrier in between.
-    ///
-    /// Panic protocol: a panicking worker would strand its teammates at
-    /// the barrier forever, so each level's compute runs under
-    /// `catch_unwind`; on panic the worker poisons the group, keeps
-    /// attending every remaining barrier (teammates see the poison and
-    /// skip their compute), and re-raises the original payload at the
-    /// end so `run_levels` can propagate it.
-    #[allow(clippy::too_many_arguments)]
-    fn level_worker(
-        &self,
-        buf: SharedWords,
-        group: LevelGroup,
-        worker: usize,
-        barrier: &SpinBarrier,
-        poisoned: &AtomicBool,
-        words_per_node: usize,
-        tail_mask: u64,
-    ) {
-        let mask = (group.w0 + group.width == words_per_node && tail_mask != u64::MAX)
-            .then_some(tail_mask);
-        let window = ColumnWindow {
-            stride: words_per_node,
-            col0: group.w0,
-            width: group.width,
-            mask,
-        };
-        let mut caught: Option<Box<dyn Any + Send>> = None;
-        for (li, &(lo, hi)) in self.levels.ranges.iter().enumerate() {
-            if caught.is_none() && !poisoned.load(Ordering::Acquire) {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if li == 0 {
-                        htforge_obs::faultpoint!("sim.level_worker");
-                    }
-                    let steps = (hi - lo) as usize;
-                    let share = steps / group.workers;
-                    let extra = steps % group.workers;
-                    let my_lo = lo as usize + worker * share + worker.min(extra);
-                    let my_steps = share + usize::from(worker < extra);
-                    if my_steps > 0 {
-                        // SAFETY: `compile` bounds-checked every tape
-                        // index; workers of this group own disjoint
-                        // step sub-ranges of the level (disjoint
-                        // destination rows), other groups own disjoint
-                        // columns, and every fanin of this level was
-                        // written at a lower level — published by the
-                        // previous barrier.
-                        unsafe { self.exec_steps(my_lo, my_lo + my_steps, buf, window) };
-                    }
-                }));
-                if let Err(payload) = result {
-                    poisoned.store(true, Ordering::Release);
-                    caught = Some(payload);
-                }
-            }
-            barrier.wait();
-        }
-        if let Some(payload) = caught {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Executes the tape over columns `[w0, w0 + chunk)` into `buf`,
-    /// which is node-major with stride `chunk` (so `buf[node * chunk + k]`
-    /// is column `w0 + k` of `node`). `buf` must be zero-initialized:
-    /// unconnected DFF outputs read as constant 0 (reset state).
-    ///
-    /// With `lanes > 0` the chunk is tiled into `[u64; lanes]` blocks,
-    /// each evaluated by one tape walk over a *dense* block-major
-    /// scratch buffer (`node_count × lanes` words, contiguous): the
-    /// walk's whole working set is `node_count × lanes × 8` bytes — one
-    /// cache line per node at `lanes = 8` — so intermediate values stay
-    /// cache-resident instead of streaming through the full-size buffer
-    /// once per step. Widths 1/4/8 run monomorphized walks whose inner
-    /// loops have compile-time trip counts. Each finished block is
-    /// stitched into `buf` with per-node contiguous copies
-    /// (O(nodes × chunk) total — noise next to the O(steps × chunk)
-    /// simulation). `lanes == 0` (or `lanes >= chunk`) is the unblocked
-    /// plane: a single variable-width walk over the whole chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_columns(
-        &self,
-        patterns: &PatternSet,
-        w0: usize,
-        chunk: usize,
-        words_per_node: usize,
-        tail_mask: u64,
-        buf: &mut [u64],
-        lanes: usize,
-    ) {
-        debug_assert_eq!(buf.len(), self.node_count * chunk);
-        debug_assert!(w0 + chunk <= words_per_node);
-
-        // The last global column carries the tail; only the block that
-        // owns it masks anything.
-        let block_mask = |k: usize, width: usize| {
-            (w0 + k + width == words_per_node && tail_mask != u64::MAX).then_some(tail_mask)
-        };
-
-        if lanes == 0 || lanes >= chunk {
-            for &(node, pos) in &self.input_positions {
-                let src = &patterns.input_words(pos)[w0..w0 + chunk];
-                let base = node.index() * chunk;
-                buf[base..base + chunk].copy_from_slice(src);
-            }
-            let shared = SharedWords {
-                ptr: buf.as_mut_ptr(),
-                len: buf.len(),
-            };
-            let window = ColumnWindow {
-                stride: chunk,
-                col0: 0,
-                width: chunk,
-                mask: block_mask(0, chunk),
-            };
-            // SAFETY: single-threaded over a uniquely borrowed buffer;
-            // `compile` bounds-checked every tape index against
-            // node_count and `buf` spans node_count * chunk words.
-            unsafe { self.exec_steps(0, self.steps(), shared, window) };
-            return;
-        }
-
-        // Tile width: as many columns as keep the dense scratch around
-        // the L2 size, rounded to whole blocks. The W-wide walks run
-        // *inside* one tile (stride = tile, col0 = block offset) so the
-        // per-node entry/exit copies — which touch one far-apart page
-        // per node in the full-size buffer — are paid once per tile,
-        // not once per block.
-        let tile = (Self::LANE_TILE_BYTES / (self.node_count * 8).max(1))
-            .div_euclid(lanes)
-            .max(1)
-            * lanes;
-        let tile = tile.min(chunk);
-        // Zeroed once: rows never written by any step (unconnected DFF
-        // outputs) must read as constant 0 in every tile; every other
-        // row is fully overwritten per tile before it is read.
-        let mut scratch = vec![0u64; self.node_count * tile];
-        let mut t0 = 0usize;
-        while t0 < chunk {
-            let tw = tile.min(chunk - t0);
-            for &(node, pos) in &self.input_positions {
-                let src = patterns.input_block(pos, w0 + t0, tw);
-                let base = node.index() * tile;
-                scratch[base..base + tw].copy_from_slice(src);
-            }
-            let shared = SharedWords {
-                ptr: scratch.as_mut_ptr(),
-                len: scratch.len(),
-            };
-            let mut k = 0usize;
-            while k < tw {
-                let width = lanes.min(tw - k);
-                let window = ColumnWindow {
-                    stride: tile,
-                    col0: k,
-                    width,
-                    mask: block_mask(t0 + k, width),
-                };
-                // SAFETY: single-threaded over the uniquely borrowed
-                // scratch; `compile` bounds-checked every tape index
-                // and scratch spans node_count * tile words with
-                // col0 + width ≤ tile. The monomorphized widths match
-                // `window.width`.
-                unsafe {
-                    match width {
-                        8 => self.exec_steps_w::<8>(0, self.steps(), shared, window),
-                        4 => self.exec_steps_w::<4>(0, self.steps(), shared, window),
-                        1 => self.exec_steps_w::<1>(0, self.steps(), shared, window),
-                        _ => self.exec_steps(0, self.steps(), shared, window),
-                    }
-                }
-                k += width;
-            }
-            for node in 0..self.node_count {
-                let s0 = node * tile;
-                let d0 = node * chunk + t0;
-                buf[d0..d0 + tw].copy_from_slice(&scratch[s0..s0 + tw]);
-            }
-            t0 += tw;
-        }
-    }
-
-    /// Executes tape steps `[lo, hi)` over one column window of `buf`.
-    /// Shared by every strategy: the column path passes its dense local
-    /// buffer (`stride = chunk, col0 = block start`), the level path the
-    /// final node-major buffer (`stride = words_per_node, col0 = group
-    /// start`). Runtime-width entry point; see [`Self::exec_steps_w`].
-    ///
-    /// # Safety
-    ///
-    /// Callers must guarantee that
-    /// * every tape index times `window.stride` plus `window.col0 +
-    ///   window.width` stays within `buf.len()` (upheld by `compile`'s
-    ///   bounds assertions plus a correctly sized buffer), and
-    /// * no other thread touches this window's destination elements
-    ///   concurrently, and all fanin elements of steps `[lo, hi)` were
-    ///   written-and-published before the call.
-    unsafe fn exec_steps(&self, lo: usize, hi: usize, buf: SharedWords, window: ColumnWindow) {
-        // The widths that dominate production runs get monomorphized
-        // walks: 1 covers every small-batch client (MERO refinement,
-        // cube validation, the level/hybrid per-column windows), 4/8
-        // cover narrow column spans and the wide-lane blocks.
-        match window.width {
-            1 => self.exec_steps_w::<1>(lo, hi, buf, window),
-            4 => self.exec_steps_w::<4>(lo, hi, buf, window),
-            8 => self.exec_steps_w::<8>(lo, hi, buf, window),
-            _ => self.exec_steps_w::<0>(lo, hi, buf, window),
-        }
-    }
-
-    /// The tape interpreter. `W == 0` is the runtime-width instantiation
-    /// (reads `window.width`); `W == 4` / `W == 8` are the wide-lane
-    /// instantiations where every inner loop has a compile-time trip
-    /// count, so LLVM unrolls and vectorizes each gate into one or two
-    /// 256/512-bit blocks.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Self::exec_steps`]; additionally, if `W != 0`
-    /// then `window.width` must equal `W`.
-    unsafe fn exec_steps_w<const W: usize>(
-        &self,
-        lo: usize,
-        hi: usize,
-        buf: SharedWords,
-        window: ColumnWindow,
-    ) {
-        let ColumnWindow {
-            stride,
-            col0,
-            width: run_width,
-            mask,
-        } = window;
-        debug_assert!(W == 0 || run_width == W);
-        let width = if W == 0 { run_width } else { W };
-        debug_assert!(col0 + width <= stride);
-        debug_assert!(self.node_count * stride <= buf.len);
-        let p = buf.ptr;
+    /// The tape interpreter: evaluates every step over `buf`, which is
+    /// node-major with `width` words per node (`buf[node * width + w]`)
+    /// and already holds the input columns. `tail_mask` clears the
+    /// unused bits of each node's last word so popcounts stay exact.
+    fn walk(&self, buf: &mut [u64], width: usize, tail_mask: u64) {
+        assert_eq!(buf.len(), self.node_count * width, "value buffer size");
+        let mask = (tail_mask != u64::MAX).then_some(tail_mask);
+        let p = buf.as_mut_ptr();
         let offs = &self.offs;
         let pool = &self.pool;
-        for s in lo..hi {
-            let op = *self.ops.get_unchecked(s);
-            let d = *self.dsts.get_unchecked(s) as usize * stride + col0;
-            let off = *offs.get_unchecked(s) as usize;
-            // SAFETY (for the whole match): `compile` asserted every
-            // destination and fanin index is < node_count, and the
-            // caller sized `buf` so `idx * stride + col0 + w` with
-            // `w < width <= stride - col0` is in bounds. Sources and
-            // destination never alias within one step (a gate is not
+        for s in 0..self.ops.len() {
+            // SAFETY (for the whole step): `compile` asserted every
+            // destination and fanin index is < node_count and `buf`
+            // spans node_count * width words, so `idx * width + w` with
+            // `w < width` is in bounds; `s < ops.len()` and
+            // `offs.len() == ops.len() + 1` bound the tape reads. Sources
+            // and destination never alias within one step (a gate is not
             // its own fanin in an acyclic order), and distinct nodes'
-            // windows are disjoint (their base offsets differ by at
-            // least `stride`).
-            match op {
-                OpCode::Not => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = !*p.add(a + w);
-                    }
-                }
-                OpCode::Buf => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = *p.add(a + w);
-                    }
-                }
-                OpCode::And2 => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    let b = *pool.get_unchecked(off + 1) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = *p.add(a + w) & *p.add(b + w);
-                    }
-                }
-                OpCode::Nand2 => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    let b = *pool.get_unchecked(off + 1) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = !(*p.add(a + w) & *p.add(b + w));
-                    }
-                }
-                OpCode::Or2 => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    let b = *pool.get_unchecked(off + 1) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = *p.add(a + w) | *p.add(b + w);
-                    }
-                }
-                OpCode::Nor2 => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    let b = *pool.get_unchecked(off + 1) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = !(*p.add(a + w) | *p.add(b + w));
-                    }
-                }
-                OpCode::Xor2 => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    let b = *pool.get_unchecked(off + 1) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = *p.add(a + w) ^ *p.add(b + w);
-                    }
-                }
-                OpCode::Xnor2 => {
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    let b = *pool.get_unchecked(off + 1) as usize * stride + col0;
-                    for w in 0..width {
-                        *p.add(d + w) = !(*p.add(a + w) ^ *p.add(b + w));
-                    }
-                }
-                OpCode::AndN | OpCode::NandN => {
-                    let end = *offs.get_unchecked(s + 1) as usize;
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    std::ptr::copy_nonoverlapping(p.add(a), p.add(d), width);
-                    for &f in &pool[off + 1..end] {
-                        let fb = f as usize * stride + col0;
+            // spans are disjoint.
+            unsafe {
+                let op = *self.ops.get_unchecked(s);
+                let d = *self.dsts.get_unchecked(s) as usize * width;
+                let off = *offs.get_unchecked(s) as usize;
+                let fanin = |k: usize| *pool.get_unchecked(off + k) as usize * width;
+                match op {
+                    OpCode::Not => {
+                        let a = fanin(0);
                         for w in 0..width {
-                            *p.add(d + w) &= *p.add(fb + w);
+                            *p.add(d + w) = !*p.add(a + w);
                         }
                     }
-                    if op == OpCode::NandN {
+                    OpCode::Buf => {
+                        let a = fanin(0);
                         for w in 0..width {
-                            *p.add(d + w) = !*p.add(d + w);
+                            *p.add(d + w) = *p.add(a + w);
                         }
                     }
-                }
-                OpCode::OrN | OpCode::NorN => {
-                    let end = *offs.get_unchecked(s + 1) as usize;
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    std::ptr::copy_nonoverlapping(p.add(a), p.add(d), width);
-                    for &f in &pool[off + 1..end] {
-                        let fb = f as usize * stride + col0;
+                    OpCode::And2 => {
+                        let (a, b) = (fanin(0), fanin(1));
                         for w in 0..width {
-                            *p.add(d + w) |= *p.add(fb + w);
+                            *p.add(d + w) = *p.add(a + w) & *p.add(b + w);
                         }
                     }
-                    if op == OpCode::NorN {
+                    OpCode::Nand2 => {
+                        let (a, b) = (fanin(0), fanin(1));
                         for w in 0..width {
-                            *p.add(d + w) = !*p.add(d + w);
+                            *p.add(d + w) = !(*p.add(a + w) & *p.add(b + w));
                         }
                     }
-                }
-                OpCode::XorN | OpCode::XnorN => {
-                    let end = *offs.get_unchecked(s + 1) as usize;
-                    let a = *pool.get_unchecked(off) as usize * stride + col0;
-                    std::ptr::copy_nonoverlapping(p.add(a), p.add(d), width);
-                    for &f in &pool[off + 1..end] {
-                        let fb = f as usize * stride + col0;
+                    OpCode::Or2 => {
+                        let (a, b) = (fanin(0), fanin(1));
                         for w in 0..width {
-                            *p.add(d + w) ^= *p.add(fb + w);
+                            *p.add(d + w) = *p.add(a + w) | *p.add(b + w);
                         }
                     }
-                    if op == OpCode::XnorN {
+                    OpCode::Nor2 => {
+                        let (a, b) = (fanin(0), fanin(1));
                         for w in 0..width {
-                            *p.add(d + w) = !*p.add(d + w);
+                            *p.add(d + w) = !(*p.add(a + w) | *p.add(b + w));
+                        }
+                    }
+                    OpCode::Xor2 => {
+                        let (a, b) = (fanin(0), fanin(1));
+                        for w in 0..width {
+                            *p.add(d + w) = *p.add(a + w) ^ *p.add(b + w);
+                        }
+                    }
+                    OpCode::Xnor2 => {
+                        let (a, b) = (fanin(0), fanin(1));
+                        for w in 0..width {
+                            *p.add(d + w) = !(*p.add(a + w) ^ *p.add(b + w));
+                        }
+                    }
+                    OpCode::AndN | OpCode::NandN => {
+                        let end = *offs.get_unchecked(s + 1) as usize;
+                        std::ptr::copy_nonoverlapping(p.add(fanin(0)), p.add(d), width);
+                        for &f in pool.get_unchecked(off + 1..end) {
+                            let fb = f as usize * width;
+                            for w in 0..width {
+                                *p.add(d + w) &= *p.add(fb + w);
+                            }
+                        }
+                        if op == OpCode::NandN {
+                            for w in 0..width {
+                                *p.add(d + w) = !*p.add(d + w);
+                            }
+                        }
+                    }
+                    OpCode::OrN | OpCode::NorN => {
+                        let end = *offs.get_unchecked(s + 1) as usize;
+                        std::ptr::copy_nonoverlapping(p.add(fanin(0)), p.add(d), width);
+                        for &f in pool.get_unchecked(off + 1..end) {
+                            let fb = f as usize * width;
+                            for w in 0..width {
+                                *p.add(d + w) |= *p.add(fb + w);
+                            }
+                        }
+                        if op == OpCode::NorN {
+                            for w in 0..width {
+                                *p.add(d + w) = !*p.add(d + w);
+                            }
+                        }
+                    }
+                    OpCode::XorN | OpCode::XnorN => {
+                        let end = *offs.get_unchecked(s + 1) as usize;
+                        std::ptr::copy_nonoverlapping(p.add(fanin(0)), p.add(d), width);
+                        for &f in pool.get_unchecked(off + 1..end) {
+                            let fb = f as usize * width;
+                            for w in 0..width {
+                                *p.add(d + w) ^= *p.add(fb + w);
+                            }
+                        }
+                        if op == OpCode::XnorN {
+                            for w in 0..width {
+                                *p.add(d + w) = !*p.add(d + w);
+                            }
                         }
                     }
                 }
-            }
-            if let Some(m) = mask {
-                *p.add(d + width - 1) &= m;
-            }
-        }
-    }
-
-    /// Evaluates one tape step for one packed word and returns the new
-    /// destination word. `values` is node-major with stride `stride`
-    /// (`values[node * stride + w]`); `w` selects the word column. Safe,
-    /// bounds-checked scalar path used by the incremental re-simulation
-    /// session ([`crate::delta::DeltaSim`]), where per-step work is one
-    /// dirty word rather than a whole column span.
-    pub(crate) fn eval_step_word(&self, s: usize, values: &[u64], stride: usize, w: usize) -> u64 {
-        let op = self.ops[s];
-        let off = self.offs[s] as usize;
-        let at = |f: u32| values[f as usize * stride + w];
-        match op {
-            OpCode::Not => !at(self.pool[off]),
-            OpCode::Buf => at(self.pool[off]),
-            OpCode::And2 => at(self.pool[off]) & at(self.pool[off + 1]),
-            OpCode::Nand2 => !(at(self.pool[off]) & at(self.pool[off + 1])),
-            OpCode::Or2 => at(self.pool[off]) | at(self.pool[off + 1]),
-            OpCode::Nor2 => !(at(self.pool[off]) | at(self.pool[off + 1])),
-            OpCode::Xor2 => at(self.pool[off]) ^ at(self.pool[off + 1]),
-            OpCode::Xnor2 => !(at(self.pool[off]) ^ at(self.pool[off + 1])),
-            OpCode::AndN | OpCode::NandN => {
-                let end = self.offs[s + 1] as usize;
-                let v = self.pool[off..end].iter().fold(u64::MAX, |v, &f| v & at(f));
-                if op == OpCode::NandN {
-                    !v
-                } else {
-                    v
-                }
-            }
-            OpCode::OrN | OpCode::NorN => {
-                let end = self.offs[s + 1] as usize;
-                let v = self.pool[off..end].iter().fold(0u64, |v, &f| v | at(f));
-                if op == OpCode::NorN {
-                    !v
-                } else {
-                    v
-                }
-            }
-            OpCode::XorN | OpCode::XnorN => {
-                let end = self.offs[s + 1] as usize;
-                let v = self.pool[off..end].iter().fold(0u64, |v, &f| v ^ at(f));
-                if op == OpCode::XnorN {
-                    !v
-                } else {
-                    v
+                if let Some(m) = mask {
+                    *p.add(d + width - 1) &= m;
                 }
             }
         }
@@ -1414,16 +479,11 @@ y = NAND(n, w)
     }
 
     #[test]
-    fn level_plan_tiles_the_tape_in_order() {
+    fn tape_is_topological() {
         let nl = bench::parse(C17, "c17").unwrap();
         let prog = SimProgram::compile(&nl).unwrap();
-        let plan = prog.level_plan();
-        // c17 is three NAND levels: 2 + 2 + 2 gates.
-        assert_eq!(plan.level_count(), 3);
-        assert_eq!(plan.ranges(), &[(0, 2), (2, 4), (4, 6)]);
-        assert_eq!(plan.widest(), 2);
-        // Ranges tile 0..steps and the tape stays topological: every
-        // fanin of a step is an input or an earlier step's destination.
+        // Every fanin of a step is an input or an earlier step's
+        // destination.
         let mut ready = vec![false; prog.node_count()];
         for &(node, _) in &prog.input_positions {
             ready[node.index()] = true;
@@ -1438,78 +498,13 @@ y = NAND(n, w)
     }
 
     #[test]
-    fn c17_exhaustive_all_thread_counts() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        let vectors: Vec<Vec<bool>> = (0u32..32)
-            .map(|p| (0..5).map(|i| (p >> i) & 1 == 1).collect())
-            .collect();
-        let ps = PatternSet::from_vectors(5, &vectors);
-        let reference = prog.run_with_threads(&ps, 1);
-        for threads in [2, 3, 8] {
-            let vals = prog.run_with_threads(&ps, threads);
-            for id in nl.node_ids() {
-                assert_eq!(
-                    vals.words(id),
-                    reference.words(id),
-                    "node {} at {threads} threads",
-                    nl.node(id).name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_strategy_is_bit_identical() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        for len in [1, 63, 64, 65, 200] {
-            let ps = PatternSet::random(5, len, 0xFEED + len as u64);
-            let reference = prog.run_with_strategy(&ps, KernelStrategy::Single, 1);
-            for strategy in [
-                KernelStrategy::Column,
-                KernelStrategy::Level,
-                KernelStrategy::Hybrid,
-            ] {
-                for threads in [1, 2, 4, 8] {
-                    let vals = prog.run_with_strategy(&ps, strategy, threads);
-                    for id in nl.node_ids() {
-                        assert_eq!(
-                            vals.words(id),
-                            reference.words(id),
-                            "node {} len {len} {} threads {threads}",
-                            nl.node(id).name(),
-                            strategy.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tail_masked_at_every_thread_count() {
+    fn tail_is_masked() {
         // NOT of constant 0 is all-ones: tail bits must not leak.
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "t").unwrap();
         let prog = SimProgram::compile(&nl).unwrap();
-        let ps = PatternSet::zeros(1, 70); // 2 words, 6-bit tail
-        for threads in [1, 2] {
-            let vals = prog.run_with_threads(&ps, threads);
-            assert_eq!(
-                vals.count_ones(nl.find("y").unwrap()),
-                70,
-                "{threads} threads"
-            );
-        }
-        // The level and hybrid executors must mask the same tail.
-        for strategy in [KernelStrategy::Level, KernelStrategy::Hybrid] {
-            let vals = prog.run_with_strategy(&ps, strategy, 4);
-            assert_eq!(
-                vals.count_ones(nl.find("y").unwrap()),
-                70,
-                "{}",
-                strategy.name()
-            );
+        for len in [3usize, 70, 9 * 64 + 7] {
+            let vals = prog.run(&PatternSet::zeros(1, len));
+            assert_eq!(vals.count_ones(nl.find("y").unwrap()), len as u64);
         }
     }
 
@@ -1519,165 +514,6 @@ y = NAND(n, w)
         let prog = SimProgram::compile(&nl).unwrap();
         let vals = prog.run(&PatternSet::zeros(5, 0));
         assert!(vals.is_empty());
-        // Forced strategies degrade gracefully on empty sets too.
-        for strategy in [KernelStrategy::Level, KernelStrategy::Hybrid] {
-            assert!(prog
-                .run_with_strategy(&PatternSet::zeros(5, 0), strategy, 4)
-                .is_empty());
-        }
-    }
-
-    #[test]
-    fn thread_count_is_clamped_to_columns() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        let ps = PatternSet::random(5, 100, 1); // 2 words
-        let a = prog.run_with_threads(&ps, 64);
-        let b = prog.run_with_threads(&ps, 1);
-        for id in nl.node_ids() {
-            assert_eq!(a.words(id), b.words(id));
-        }
-    }
-
-    #[test]
-    fn default_threads_stays_single_for_tiny_workloads() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        assert_eq!(prog.default_threads(1), 1);
-        assert_eq!(prog.default_threads(64), 1);
-    }
-
-    #[test]
-    fn planner_picks_strategies_by_shape() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        // One thread or no words: single.
-        assert_eq!(prog.plan(1000, 1).strategy, KernelStrategy::Single);
-        assert_eq!(prog.plan(0, 8).strategy, KernelStrategy::Single);
-        // Words >= threads: column, workers = request.
-        let p = prog.plan(64 * 8, 4);
-        assert_eq!((p.strategy, p.workers), (KernelStrategy::Column, 4));
-        // c17's levels are 2 gates wide — far below the per-worker
-        // minimum — so a 1-word run falls back to a single worker and
-        // the "64 threads on 2 words" request clamps to the columns.
-        let p = prog.plan(64, 8);
-        assert_eq!((p.strategy, p.workers), (KernelStrategy::Single, 1));
-        let p = prog.plan(100, 64);
-        assert_eq!((p.strategy, p.workers), (KernelStrategy::Column, 2));
-        assert_eq!(p.requested, 64);
-
-        // A wide synthetic netlist (1 level with 64 parallel NOTs, one
-        // OR): level for 1 word, hybrid for 2 words.
-        let mut src = String::from("INPUT(a)\nOUTPUT(y)\n");
-        let mut or_in = Vec::new();
-        for i in 0..64 {
-            src.push_str(&format!("n{i} = NOT(a)\n"));
-            or_in.push(format!("n{i}"));
-        }
-        src.push_str(&format!("y = OR({})\n", or_in.join(", ")));
-        let wide = bench::parse(&src, "wide").unwrap();
-        let prog = SimProgram::compile(&wide).unwrap();
-        let p = prog.plan(64, 2);
-        assert_eq!((p.strategy, p.workers), (KernelStrategy::Level, 2));
-        let p = prog.plan(128, 4);
-        assert_eq!((p.strategy, p.workers), (KernelStrategy::Hybrid, 4));
-    }
-
-    #[test]
-    fn wide_netlist_level_split_matches_reference() {
-        // 200 parallel XOR gates in one level, then a tree — wide
-        // enough that 4 workers genuinely split each level.
-        let mut src = String::from("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n");
-        let mut names = Vec::new();
-        for i in 0..200 {
-            let name = format!("x{i}");
-            src.push_str(&format!("{name} = XOR(a, b)\n"));
-            names.push(name);
-        }
-        src.push_str(&format!("y = AND({})\n", names.join(", ")));
-        let nl = bench::parse(&src, "wide").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        for len in [5, 64, 130] {
-            let ps = PatternSet::random(2, len, len as u64);
-            let reference = prog.run_with_strategy(&ps, KernelStrategy::Single, 1);
-            for threads in [2, 3, 4, 8] {
-                let vals = prog.run_with_strategy(&ps, KernelStrategy::Level, threads);
-                for id in nl.node_ids() {
-                    assert_eq!(vals.words(id), reference.words(id), "len {len} t{threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forced_lane_widths_are_bit_identical() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        // Pattern counts chosen so chunks are narrower than, equal to,
-        // and wider than both block widths, with and without a tail:
-        // 5 words + tail (321), exact 8 words (512), 13 words + tail.
-        for len in [100usize, 321, 512, 830] {
-            let ps = PatternSet::random(5, len, 0x1a + len as u64);
-            // Planner path (unblocked for a circuit this small).
-            let reference = prog.run_with_threads(&ps, 1);
-            for lanes in [1usize, 4, 8] {
-                for threads in [1usize, 2, 3] {
-                    let vals = prog.run_with_lanes(&ps, lanes, threads);
-                    for id in nl.node_ids() {
-                        assert_eq!(
-                            vals.words(id),
-                            reference.words(id),
-                            "len {len} lanes {lanes} threads {threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_tail_is_masked_in_every_block() {
-        // NOT of constant 0 is all-ones: only the final word may be
-        // partial, and only its owning block may mask.
-        let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "t").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        let ps = PatternSet::zeros(1, 9 * 64 + 7); // 10 words, 7-bit tail
-        for lanes in [1usize, 4, 8] {
-            let vals = prog.run_with_lanes(&ps, lanes, 1);
-            assert_eq!(
-                vals.count_ones(nl.find("y").unwrap()),
-                9 * 64 + 7,
-                "lanes {lanes}"
-            );
-        }
-    }
-
-    #[test]
-    fn planner_reports_dispatch_width_and_never_tiles() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        // Spans of exactly 1/4/8 words run the monomorphized walk.
-        assert_eq!(prog.auto_lanes(1), 1);
-        assert_eq!(prog.auto_lanes(4), 4);
-        assert_eq!(prog.auto_lanes(8), 8);
-        // Everything else — including arbitrarily wide chunks — stays
-        // on the runtime-width streaming walk: the planner never tiles.
-        assert_eq!(prog.auto_lanes(2), 0);
-        assert_eq!(prog.auto_lanes(1000), 0);
-        assert_eq!(prog.auto_lanes(1 << 24), 0);
-        // Planner plumbs the width through to the plan.
-        assert_eq!(prog.plan(64, 1).lanes, 1); // one word
-        assert_eq!(prog.plan(8 * 64, 1).lanes, 8); // exactly eight
-        assert_eq!(prog.plan(100, 1).lanes, 0); // two words
-        assert_eq!(prog.plan(8 * 64, 2).lanes, 4); // 8 cols / 2 workers
-    }
-
-    #[test]
-    #[should_panic(expected = "lane width")]
-    fn bad_lane_width_panics() {
-        let nl = bench::parse(C17, "c17").unwrap();
-        let prog = SimProgram::compile(&nl).unwrap();
-        let _ = prog.run_with_lanes(&PatternSet::zeros(5, 8), 3, 1);
     }
 
     #[test]

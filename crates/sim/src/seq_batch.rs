@@ -8,9 +8,7 @@
 //! per-trace primary inputs plus the packed DFF state, and the D-driver
 //! columns of the result are copied back as next-cycle state — the
 //! scan-cut feedback loop closed word-at-a-time. Batches wider than 64
-//! traces split across columns; single-word batches (≤64 traces) go
-//! through the kernel's level-parallel mode instead of pinning one
-//! core, with the planner choosing per cycle (see `DESIGN.md` §5).
+//! traces just add words per node to the same run.
 //!
 //! [`FirstFireMonitor`] rides along for trojan campaigns: fed one node's
 //! packed values per cycle, it records the first cycle each trace saw a
@@ -25,7 +23,7 @@
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 
 use crate::patterns::PatternSet;
-use crate::program::{KernelStrategy, SimProgram};
+use crate::program::SimProgram;
 use crate::simulator::NodeValues;
 
 /// A sequential simulator stepping many independent traces per cycle.
@@ -61,10 +59,6 @@ pub struct BatchedSequentialSimulator {
     /// followed by one packed state column per DFF (the scan-cut pseudo
     /// primary inputs, in the same order `scan_cut` appends them).
     frame: PatternSet,
-    /// Explicit worker count for the kernel; `None` = automatic.
-    threads: Option<usize>,
-    /// Forced kernel strategy; `None` = planner's choice.
-    strategy: Option<KernelStrategy>,
     last: Option<NodeValues>,
     cycles_run: u64,
     /// Cached handle for the global `seq.trace_cycles` counter (see
@@ -100,8 +94,6 @@ impl BatchedSequentialSimulator {
             primary_inputs,
             d_drivers,
             frame,
-            threads: None,
-            strategy: None,
             last: None,
             cycles_run: 0,
             trace_cycles: htforge_obs::counter("seq.trace_cycles"),
@@ -139,26 +131,6 @@ impl BatchedSequentialSimulator {
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
         &self.cut
-    }
-
-    /// Pins the kernel worker count (`None` restores the automatic
-    /// workload heuristic). Output is bit-identical at every setting;
-    /// only multi-word batches (>64 traces) can actually split.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
-
-    /// Forces a kernel execution strategy for every subsequent [`step`]
-    /// (`None` restores the planner's automatic choice). Combine with
-    /// [`set_threads`] to pin the worker count the forced strategy runs
-    /// with. Output is bit-identical across strategies; single-word
-    /// batches (≤64 traces) only gain real concurrency from
-    /// [`KernelStrategy::Level`].
-    ///
-    /// [`step`]: BatchedSequentialSimulator::step
-    /// [`set_threads`]: BatchedSequentialSimulator::set_threads
-    pub fn set_strategy(&mut self, strategy: Option<KernelStrategy>) {
-        self.strategy = strategy;
     }
 
     /// Packed state words of flop `flop` (bit `t % 64` of word `t / 64`
@@ -258,14 +230,7 @@ impl BatchedSequentialSimulator {
         for i in 0..self.primary_inputs {
             self.frame.set_input_words(i, stimulus.input_words(i));
         }
-        let values = match (self.strategy, self.threads) {
-            (Some(s), t) => {
-                let threads = t.unwrap_or_else(|| self.prog.default_threads(self.traces));
-                self.prog.run_with_strategy(&self.frame, s, threads)
-            }
-            (None, Some(t)) => self.prog.run_with_threads(&self.frame, t),
-            (None, None) => self.prog.run(&self.frame),
-        };
+        let values = self.prog.run(&self.frame);
         for (k, &d) in self.d_drivers.iter().enumerate() {
             self.frame
                 .set_input_words(self.primary_inputs + k, values.words(d));
@@ -572,60 +537,11 @@ q1 = DFF(d1)
     }
 
     #[test]
-    fn explicit_thread_counts_are_bit_identical() {
-        let nl = bench::parse(COUNTER2, "cnt").unwrap();
-        let traces = 200; // 4 words: actually splittable
-        let mut auto = BatchedSequentialSimulator::new(&nl, traces).unwrap();
-        let mut forced = BatchedSequentialSimulator::new(&nl, traces).unwrap();
-        forced.set_threads(Some(3));
-        for cycle in 0..7 {
-            let stim = PatternSet::random(1, traces, 99 + cycle);
-            auto.step(&stim);
-            forced.step(&stim);
-        }
-        for t in 0..traces {
-            assert_eq!(auto.state_of_trace(t), forced.state_of_trace(t));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "trace count mismatch")]
     fn wrong_trace_count_panics() {
         let nl = bench::parse(COUNTER2, "cnt").unwrap();
         let mut sim = BatchedSequentialSimulator::new(&nl, 8).unwrap();
         sim.step(&PatternSet::zeros(1, 9));
-    }
-
-    #[test]
-    fn forced_strategies_are_bit_identical_to_auto() {
-        let nl = bench::parse(COUNTER2, "cnt").unwrap();
-        let traces = 130; // 3 words, last one partial
-        let mut auto = BatchedSequentialSimulator::new(&nl, traces).unwrap();
-        let mut forced: Vec<BatchedSequentialSimulator> = [
-            KernelStrategy::Column,
-            KernelStrategy::Level,
-            KernelStrategy::Hybrid,
-        ]
-        .into_iter()
-        .map(|s| {
-            let mut sim = BatchedSequentialSimulator::new(&nl, traces).unwrap();
-            sim.set_strategy(Some(s));
-            sim.set_threads(Some(4));
-            sim
-        })
-        .collect();
-        for cycle in 0..6 {
-            let stim = PatternSet::random(1, traces, 7 + cycle);
-            auto.step(&stim);
-            for sim in &mut forced {
-                sim.step(&stim);
-            }
-        }
-        for t in 0..traces {
-            for sim in &forced {
-                assert_eq!(auto.state_of_trace(t), sim.state_of_trace(t), "trace {t}");
-            }
-        }
     }
 
     #[test]

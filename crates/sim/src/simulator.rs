@@ -2,8 +2,7 @@
 //!
 //! The netlist is compiled once ([`Simulator::new`] lowers it into a
 //! [`SimProgram`] instruction tape) and then evaluated word-by-word: each
-//! gate visit computes 64 input patterns at once, and large pattern sets
-//! are split column-wise across threads. This is what makes
+//! gate visit computes 64 input patterns at once. This is what makes
 //! 10 000-vector rare-node profiling (Fig. 3 of the paper) cheap even on
 //! the larger ISCAS-89 circuits.
 
@@ -51,28 +50,6 @@ impl NodeValues {
     pub fn words(&self, node: NodeId) -> &[u64] {
         let base = node.index() * self.words_per_node;
         &self.words[base..base + self.words_per_node]
-    }
-
-    /// Block-major view of one node's column: words `[w0, w0 + width)`.
-    /// The node-major layout means any `[u64; W]` block of any node is
-    /// already contiguous, so wide-lane consumers read blocks without a
-    /// transpose on exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the per-node word count.
-    #[must_use]
-    pub fn word_block(&self, node: NodeId, w0: usize, width: usize) -> &[u64] {
-        assert!(w0 + width <= self.words_per_node, "block out of range");
-        let base = node.index() * self.words_per_node;
-        &self.words[base + w0..base + w0 + width]
-    }
-
-    /// Consumes the values into the raw node-major word buffer. Used by
-    /// the incremental re-simulation session, which edits the buffer in
-    /// place instead of re-deriving every node.
-    pub(crate) fn into_raw_words(self) -> Vec<u64> {
-        self.words
     }
 
     /// Value of `node` in pattern `pattern`.
@@ -146,17 +123,10 @@ impl Simulator {
         })
     }
 
-    /// The compiled program backing this simulator.
-    #[must_use]
-    pub fn program(&self) -> &SimProgram {
-        &self.program
-    }
-
     /// Simulates `patterns` over the netlist this simulator was built for.
     ///
-    /// Thin wrapper over [`SimProgram::run`]: the thread count and
-    /// execution strategy (column-, level-parallel or hybrid) are chosen
-    /// automatically from the workload shape by the kernel's planner.
+    /// Thin wrapper over [`SimProgram::run`] that checks `nl` is the
+    /// compiled netlist.
     ///
     /// # Panics
     ///
@@ -172,28 +142,6 @@ impl Simulator {
             "simulator built for a different netlist"
         );
         self.program.run(patterns)
-    }
-
-    /// Simulates `patterns` over exactly `threads` workers. Output is
-    /// bit-identical at every thread count; see
-    /// [`SimProgram::run_with_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Simulator::run_on`].
-    #[must_use]
-    pub fn run_on_with_threads(
-        &self,
-        nl: &Netlist,
-        patterns: &PatternSet,
-        threads: usize,
-    ) -> NodeValues {
-        assert_eq!(
-            nl.node_count(),
-            self.program.node_count(),
-            "simulator built for a different netlist"
-        );
-        self.program.run_with_threads(patterns, threads)
     }
 }
 

@@ -55,77 +55,6 @@ fn run_c17() -> Result<Json, String> {
 }
 
 #[test]
-fn level_worker_panic_is_isolated_and_does_not_hang() {
-    use htforge::sim::{KernelStrategy, PatternSet, SimProgram};
-
-    let _gate = lock();
-    disarm_all();
-    let nl = htforge::circuits::load("c5315").unwrap();
-    let prog = SimProgram::compile(&nl).unwrap();
-    let ps = PatternSet::random(nl.inputs().len(), 63, 0x5315);
-    let clean = prog.run_with_strategy(&ps, KernelStrategy::Level, 4);
-
-    // A worker panics mid-level while three teammates are parked on the
-    // same barrier. The poison protocol must wake everyone (no hang)
-    // and surface the original payload, not a barrier deadlock.
-    arm("sim.level_worker", Action::Panic);
-    let started = Instant::now();
-    let sabotaged = htforge::obs::isolate("level kernel", || {
-        prog.run_with_strategy(&ps, KernelStrategy::Level, 4)
-    });
-    let elapsed = started.elapsed();
-    disarm_all();
-    let error = sabotaged.expect_err("armed level worker must fail");
-    assert!(error.contains("injected fault"), "got: {error}");
-    assert!(error.contains("sim.level_worker"), "got: {error}");
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "barrier hang: {elapsed:?}"
-    );
-
-    // Disarmed, the same program reruns bit-identically: the panic
-    // poisoned nothing persistent.
-    let retry = prog.run_with_strategy(&ps, KernelStrategy::Level, 4);
-    for id in nl.node_ids() {
-        assert_eq!(clean.words(id), retry.words(id));
-    }
-}
-
-#[test]
-fn delta_propagate_panic_is_isolated_and_session_recovers() {
-    use htforge::sim::{PatternSet, SimProgram};
-
-    let _gate = lock();
-    disarm_all();
-    let nl = htforge::circuits::load("c2670").unwrap();
-    let prog = SimProgram::compile(&nl).unwrap();
-    let mut sim = prog.delta_sim(PatternSet::random(nl.inputs().len(), 64, 0x2670));
-
-    // The faultpoint fires at the top of propagate, before any session
-    // state is mutated: an isolated panic must leave the session
-    // reusable, not poisoned half-way through a sweep.
-    arm("sim.delta_propagate", Action::Panic);
-    let started = Instant::now();
-    sim.set_input(3, 7, true);
-    let sabotaged = htforge::obs::isolate("delta propagate", || sim.propagate());
-    let elapsed = started.elapsed();
-    disarm_all();
-    let error = sabotaged.expect_err("armed delta propagate must fail");
-    assert!(error.contains("injected fault"), "got: {error}");
-    assert!(error.contains("sim.delta_propagate"), "got: {error}");
-    assert!(elapsed < Duration::from_secs(10), "hang: {elapsed:?}");
-
-    // Disarmed, the same session propagates the staged edit and matches
-    // a fresh full run bit for bit.
-    sim.propagate();
-    let full = prog.run(sim.patterns());
-    for id in nl.node_ids() {
-        assert_eq!(sim.words(id), full.words(id), "node {}", nl.node(id).name());
-    }
-    assert!(sim.value(nl.inputs()[3], 7), "edit must have landed");
-}
-
-#[test]
 fn every_faultpoint_name_arms_and_disarms() {
     let _gate = lock();
     for point in CATALOG {

@@ -366,16 +366,11 @@ fn trojan_activation_latency_batched_equals_scalar() {
     assert!(monitor.any_fired(), "schedule must arm some traces");
 }
 
-/// Strategy × worker matrix for the sequential stepper: {1, 2, 4}
-/// kernel threads × {column, level} forced strategies must all
-/// reproduce the scalar oracle cycle for cycle. The level rows are the
-/// interesting ones — they route every cycle's feedback frame through
-/// the shared-buffer barrier path, so a stale-level read would
-/// compound across cycles and diverge loudly here.
+/// One 63-trace word and a 130-trace batch (three words, partial tail)
+/// on a synthetic sequential netlist: the batched stepper must reproduce
+/// the scalar oracle's flop states after every stimulus.
 #[test]
-fn stepper_strategy_thread_matrix_matches_scalar() {
-    use htforge::sim::KernelStrategy;
-
+fn batched_stepper_matches_scalar_at_63_and_130_traces() {
     let profile = CircuitProfile {
         name: "matrix".into(),
         inputs: 6,
@@ -385,8 +380,6 @@ fn stepper_strategy_thread_matrix_matches_scalar() {
         seed: 0x3A7,
     };
     let nl = generate(&profile);
-    // 63 traces: the single-word regime where only level splits.
-    // 130 traces: multi-word with a partial tail, so column splits too.
     for traces in [63usize, 130] {
         let cycles = 4;
         let stimuli: Vec<PatternSet> = (0..cycles)
@@ -401,23 +394,12 @@ fn stepper_strategy_thread_matrix_matches_scalar() {
                 scalar.state().to_vec()
             })
             .collect();
-        for strategy in [KernelStrategy::Column, KernelStrategy::Level] {
-            for threads in [1usize, 2, 4] {
-                let mut sim = BatchedSequentialSimulator::new(&nl, traces).unwrap();
-                sim.set_strategy(Some(strategy));
-                sim.set_threads(Some(threads));
-                for stim in &stimuli {
-                    sim.step(stim);
-                }
-                for (t, exp) in expected.iter().enumerate() {
-                    assert_eq!(
-                        &sim.state_of_trace(t),
-                        exp,
-                        "{traces} traces, {}/{threads}t, trace {t}",
-                        strategy.name()
-                    );
-                }
-            }
+        let mut sim = BatchedSequentialSimulator::new(&nl, traces).unwrap();
+        for stim in &stimuli {
+            sim.step(stim);
+        }
+        for (t, exp) in expected.iter().enumerate() {
+            assert_eq!(&sim.state_of_trace(t), exp, "{traces} traces, trace {t}");
         }
     }
 }

@@ -1,24 +1,19 @@
 //! Differential tests for the compiled simulation kernel.
 //!
 //! [`SimProgram`] must be bit-identical to a gate-at-a-time scalar
-//! reference evaluator — at one thread, at many threads, and through the
-//! [`Simulator`] wrapper — on real circuits (c17, a 16×16 array
-//! multiplier) and on a population of random synthetic DAGs, including
-//! pattern counts that are not multiples of 64 (tail-masking paths).
+//! reference evaluator — directly and through the [`Simulator`] wrapper
+//! — on real circuits (c17, c2670, c5315, a 16×16 array multiplier) and
+//! on a population of random synthetic DAGs, including pattern counts
+//! that are not multiples of 64 (tail-masking paths). The same batch,
+//! cut into slices that each get their own run (down to one pattern per
+//! run), must give the same bits as one run over all of it.
 
 use htforge_circuits::multiplier::multiplier;
 use htforge_circuits::synth::{generate, CircuitProfile};
 use htforge_netlist::{Netlist, NodeKind};
-use htforge_sim::{KernelStrategy, PatternSet, SimProgram, Simulator};
+use htforge_sim::{PatternSet, SimProgram, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const ALL_STRATEGIES: [KernelStrategy; 4] = [
-    KernelStrategy::Single,
-    KernelStrategy::Column,
-    KernelStrategy::Level,
-    KernelStrategy::Hybrid,
-];
 
 /// Gate-at-a-time scalar oracle: evaluates every node over every pattern
 /// with `GateKind::eval_bool`, one bool at a time. Non-scan DFF outputs
@@ -49,22 +44,12 @@ fn scalar_reference(nl: &Netlist, patterns: &PatternSet) -> Vec<Vec<bool>> {
 }
 
 /// Asserts kernel output equals the scalar oracle for every node and
-/// pattern, at 1 thread, 2 threads, the automatic thread count, and via
-/// the `Simulator` wrapper.
+/// pattern, directly and via the `Simulator` wrapper.
 fn assert_differential(nl: &Netlist, patterns: &PatternSet, label: &str) {
     let expected = scalar_reference(nl, patterns);
     let prog = SimProgram::compile(nl).expect("compiles");
-    let auto = prog.default_threads(patterns.len());
     let runs = [
-        ("1 thread", prog.run_with_threads(patterns, 1)),
-        ("2 threads", prog.run_with_threads(patterns, 2)),
-        (
-            "7 threads",
-            // Deliberately odd: uneven column split exercises the
-            // remainder distribution.
-            prog.run_with_threads(patterns, 7),
-        ),
-        ("auto threads", prog.run_with_threads(patterns, auto)),
+        ("kernel", prog.run(patterns)),
         (
             "Simulator wrapper",
             Simulator::new(nl).unwrap().run_on(nl, patterns),
@@ -98,34 +83,44 @@ fn assert_differential(nl: &Netlist, patterns: &PatternSet, label: &str) {
     }
 }
 
-/// Asserts every forced kernel strategy at 1/2/4/8 workers is
-/// bit-identical — per node, per packed word — to the scalar oracle.
-/// This is the 4-way `scalar ≡ column ≡ level ≡ hybrid` proof: the
-/// level-parallel and hybrid paths share a mutable buffer across worker
-/// threads, so any aliasing or barrier bug shows up here as a flipped
-/// bit or an unmasked tail.
-fn assert_strategies_agree(nl: &Netlist, patterns: &PatternSet, label: &str) {
+/// Asserts that simulating `patterns` in slices of `chunk` patterns,
+/// each slice its own `run`, gives pattern for pattern what the scalar
+/// oracle gives, for every chunk size in `chunks`. A chunk as long as the
+/// batch is one run over everything. The kernel evaluates columns
+/// independently, so packing many vectors into one run (the compat cube
+/// check) and running one vector at a time (`validate_functional`) must
+/// agree; an unmasked tail or a word that leaks into its neighbour shows
+/// up here as a flipped bit or a wrong popcount.
+fn assert_slicings_agree(nl: &Netlist, patterns: &PatternSet, chunks: &[usize], label: &str) {
     let expected = scalar_reference(nl, patterns);
     let prog = SimProgram::compile(nl).expect("compiles");
-    let words = PatternSet::words_for(patterns.len());
-    for threads in [1usize, 2, 4, 8] {
-        for strategy in ALL_STRATEGIES {
-            let vals = prog.run_with_strategy(patterns, strategy, threads);
-            let mode = format!("{}/{threads}t", strategy.name());
-            assert_eq!(vals.len(), patterns.len(), "{label} [{mode}]: length");
+    for &chunk in chunks {
+        for start in (0..patterns.len()).step_by(chunk) {
+            let end = (start + chunk).min(patterns.len());
+            let vectors: Vec<Vec<bool>> = (start..end).map(|p| patterns.pattern(p)).collect();
+            let slice = PatternSet::from_vectors(patterns.num_inputs(), &vectors);
+            let vals = prog.run(&slice);
+            let mode = format!("chunk {chunk} @ {start}");
+            assert_eq!(vals.len(), end - start, "{label} [{mode}]: length");
             for id in nl.node_ids() {
                 let col = vals.words(id);
-                assert_eq!(col.len(), words, "{label} [{mode}]: column width");
-                for (p, &exp) in expected[id.index()].iter().enumerate() {
+                assert_eq!(
+                    col.len(),
+                    PatternSet::words_for(end - start),
+                    "{label} [{mode}]: column width"
+                );
+                let want = &expected[id.index()][start..end];
+                for (p, &exp) in want.iter().enumerate() {
                     assert_eq!(
                         vals.value(id, p),
                         exp,
-                        "{label} [{mode}]: node {} pattern {p}",
-                        nl.node(id).name()
+                        "{label} [{mode}]: node {} pattern {}",
+                        nl.node(id).name(),
+                        start + p
                     );
                 }
                 let ones: u64 = col.iter().map(|w| u64::from(w.count_ones())).sum();
-                let expected_ones = expected[id.index()].iter().filter(|&&b| b).count() as u64;
+                let expected_ones = want.iter().filter(|&&b| b).count() as u64;
                 assert_eq!(
                     ones,
                     expected_ones,
@@ -141,10 +136,11 @@ fn assert_strategies_agree(nl: &Netlist, patterns: &PatternSet, label: &str) {
 fn c17_strategy_equivalence() {
     let nl = htforge_circuits::iscas::c17();
     // 32 is exhaustive; 63/65 exercise the tail-mask and multi-word
-    // paths under every strategy.
+    // paths. Whole batch, one pattern per run, and an uneven 7-pattern
+    // split must agree.
     for len in [32usize, 63, 65] {
         let ps = PatternSet::random(nl.inputs().len(), len, 0x517 + len as u64);
-        assert_strategies_agree(&nl, &ps, &format!("c17/{len}"));
+        assert_slicings_agree(&nl, &ps, &[len, 1, 7], &format!("c17/{len}"));
     }
 }
 
@@ -152,18 +148,17 @@ fn c17_strategy_equivalence() {
 fn multiplier_strategy_equivalence() {
     let nl = multiplier("mul16", 16);
     let ps = PatternSet::random(nl.inputs().len(), 100, 0x5016);
-    assert_strategies_agree(&nl, &ps, "mul16/100");
+    assert_slicings_agree(&nl, &ps, &[100, 1, 7], "mul16/100");
 }
 
 #[test]
 fn c2670_c5315_strategy_equivalence() {
     for name in ["c2670", "c5315"] {
         let nl = htforge_circuits::load(name).expect("built-in circuit");
-        // 63 patterns = the single-word regime where only level
-        // parallelism can split; 100 = two words with a partial tail.
+        // 63 patterns = one partial word; 100 = two words with a tail.
         for len in [63usize, 100] {
             let ps = PatternSet::random(nl.inputs().len(), len, 0x5000 + len as u64);
-            assert_strategies_agree(&nl, &ps, &format!("{name}/{len}"));
+            assert_slicings_agree(&nl, &ps, &[len, 1, 7], &format!("{name}/{len}"));
         }
     }
 }
@@ -171,8 +166,8 @@ fn c2670_c5315_strategy_equivalence() {
 #[test]
 fn synthetic_dags_strategy_equivalence() {
     // 25 random DAG shapes spanning flat and deep level structures;
-    // every 5th is sequential (non-scan DFFs read as constant 0 under
-    // every strategy).
+    // every 5th is sequential (non-scan DFFs read as constant 0 however
+    // the batch is sliced).
     let mut rng = StdRng::seed_from_u64(0x51E7);
     for i in 0..25u64 {
         let outputs = rng.gen_range(1..5usize);
@@ -191,59 +186,19 @@ fn synthetic_dags_strategy_equivalence() {
         let nl = generate(&profile);
         let len = [1usize, 63, 64, 65, 130][i as usize % 5];
         let ps = PatternSet::random(nl.inputs().len(), len, i + 0x51);
-        assert_strategies_agree(&nl, &ps, &format!("{}/{len}", profile.name));
-    }
-}
-
-/// Asserts every forced lane width — the narrow one-word plane (W=1)
-/// and the wide blocked planes (W=4/8) — is bit-identical per node and
-/// per packed word to the scalar oracle and to the planner's unblocked
-/// walk, at 1/2/4 threads. This is the `scalar ≡ W=1 ≡ W=4 ≡ W=8`
-/// proof: the wide path stitches tiled block-major scratch back into
-/// node-major columns, so an off-by-one in tile bounds, a stale scratch
-/// word, or a missing per-block tail mask shows up here.
-fn assert_lane_widths_agree(nl: &Netlist, patterns: &PatternSet, label: &str) {
-    let expected = scalar_reference(nl, patterns);
-    let prog = SimProgram::compile(nl).expect("compiles");
-    let words = PatternSet::words_for(patterns.len());
-    for threads in [1usize, 2, 4] {
-        for lanes in [0usize, 1, 4, 8] {
-            let vals = prog.run_with_lanes(patterns, lanes, threads);
-            let mode = format!("lanes={lanes}/{threads}t");
-            assert_eq!(vals.len(), patterns.len(), "{label} [{mode}]: length");
-            for id in nl.node_ids() {
-                let col = vals.words(id);
-                assert_eq!(col.len(), words, "{label} [{mode}]: column width");
-                for (p, &exp) in expected[id.index()].iter().enumerate() {
-                    assert_eq!(
-                        vals.value(id, p),
-                        exp,
-                        "{label} [{mode}]: node {} pattern {p}",
-                        nl.node(id).name()
-                    );
-                }
-                let ones: u64 = col.iter().map(|w| u64::from(w.count_ones())).sum();
-                let expected_ones = expected[id.index()].iter().filter(|&&b| b).count() as u64;
-                assert_eq!(
-                    ones,
-                    expected_ones,
-                    "{label} [{mode}]: popcount of {}",
-                    nl.node(id).name()
-                );
-            }
-        }
+        assert_slicings_agree(&nl, &ps, &[len, 1, 7], &format!("{}/{len}", profile.name));
     }
 }
 
 #[test]
 fn c17_wide_lane_equivalence() {
     let nl = htforge_circuits::iscas::c17();
-    // 63/65/830 cover the single-word, word+tail, and multi-tile
-    // regimes (830 = 13 words: one full 8-lane block, one 4-lane block,
-    // one remainder).
+    // 63/65/830 cover the single-word, word+tail and many-word regimes
+    // (830 = 13 words with a tail). Slices of 64, 65 and 320 patterns
+    // shift where word boundaries fall.
     for len in [63usize, 65, 830] {
         let ps = PatternSet::random(nl.inputs().len(), len, 0x1A17 + len as u64);
-        assert_lane_widths_agree(&nl, &ps, &format!("c17/{len}"));
+        assert_slicings_agree(&nl, &ps, &[len, 64, 65, 320], &format!("c17/{len}"));
     }
 }
 
@@ -251,24 +206,23 @@ fn c17_wide_lane_equivalence() {
 fn multiplier_wide_lane_equivalence() {
     let nl = multiplier("mul16", 16);
     let ps = PatternSet::random(nl.inputs().len(), 321, 0x1A16);
-    assert_lane_widths_agree(&nl, &ps, "mul16/321");
+    assert_slicings_agree(&nl, &ps, &[321, 64, 65, 320], "mul16/321");
 }
 
 #[test]
 fn c2670_c5315_wide_lane_equivalence() {
     for name in ["c2670", "c5315"] {
         let nl = htforge_circuits::load(name).expect("built-in circuit");
-        // 1030 patterns = 17 words per node: big enough that the tiled
-        // scratch path takes multiple tiles on these gate counts.
+        // 1030 patterns = 17 words per node, the last one partial.
         let ps = PatternSet::random(nl.inputs().len(), 1030, 0x1A00);
-        assert_lane_widths_agree(&nl, &ps, &format!("{name}/1030"));
+        assert_slicings_agree(&nl, &ps, &[1030, 64, 65, 320], &format!("{name}/1030"));
     }
 }
 
 #[test]
 fn synthetic_dags_wide_lane_equivalence() {
     // Random DAG shapes, including sequential ones (non-scan DFF rows
-    // must stay constant 0 in every lane width).
+    // must stay constant 0 in every slice).
     let mut rng = StdRng::seed_from_u64(0x1A5E);
     for i in 0..8u64 {
         let outputs = rng.gen_range(1..5usize);
@@ -287,7 +241,12 @@ fn synthetic_dags_wide_lane_equivalence() {
         let nl = generate(&profile);
         let len = [65usize, 130, 321, 512][i as usize % 4];
         let ps = PatternSet::random(nl.inputs().len(), len, i + 0x1A);
-        assert_lane_widths_agree(&nl, &ps, &format!("{}/{len}", profile.name));
+        assert_slicings_agree(
+            &nl,
+            &ps,
+            &[len, 64, 65, 320],
+            &format!("{}/{len}", profile.name),
+        );
     }
 }
 
@@ -326,19 +285,16 @@ fn multiplier_kernel_computes_products() {
             ps.set(16 + i, p, (b >> i) & 1 == 1);
         }
     }
-    let prog = SimProgram::compile(&nl).unwrap();
-    for threads in [1, 4] {
-        let vals = prog.run_with_threads(&ps, threads);
-        for (p, &(a, b)) in cases.iter().enumerate() {
-            let mut product = 0u64;
-            for i in 0..32 {
-                let o = nl.find(&format!("p{i}")).expect("output bit");
-                if vals.value(o, p) {
-                    product |= 1 << i;
-                }
+    let vals = SimProgram::compile(&nl).unwrap().run(&ps);
+    for (p, &(a, b)) in cases.iter().enumerate() {
+        let mut product = 0u64;
+        for i in 0..32 {
+            let o = nl.find(&format!("p{i}")).expect("output bit");
+            if vals.value(o, p) {
+                product |= 1 << i;
             }
-            assert_eq!(product, a * b, "{a} * {b} at {threads} threads");
         }
+        assert_eq!(product, a * b, "{a} * {b}");
     }
 }
 
@@ -346,7 +302,7 @@ fn multiplier_kernel_computes_products() {
 fn synthetic_dags_differential() {
     // 50 random DAG shapes; pattern counts cycle through word-aligned
     // and tail cases. Every 5th profile is sequential (non-scan DFFs
-    // must read as constant 0 at every thread count).
+    // must read as constant 0).
     let mut rng = StdRng::seed_from_u64(0xD1FF);
     for i in 0..50u64 {
         let outputs = rng.gen_range(1..6usize);
