@@ -41,7 +41,7 @@ pub enum PodemMode {
 /// Tuning knobs for the PODEM engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PodemConfig {
-    /// Success criterion.
+    /// Success condition: fault detection or bare justification.
     pub mode: PodemMode,
     /// Abort the search after this many backtracks.
     pub backtrack_limit: usize,

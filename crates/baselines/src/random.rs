@@ -15,9 +15,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use htforge_atpg::Cube;
-use htforge_core::insert::insert_trojan_at;
+use htforge_core::insert::insert_trojan_with;
 use htforge_core::payload::choose_payload;
-use htforge_core::{InfectedDesign, InsertionError, PayloadStrategy, TriggerPlan};
+use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TriggerPlan};
 use htforge_netlist::{netlist::NodeId, Netlist};
 use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, Tri};
@@ -159,11 +159,12 @@ impl RandomInserter {
                     continue;
                 };
                 let cube = Cube::from_tris(vector.iter().map(|&b| Tri::from_bool(b)).collect());
-                let (netlist, trojan) = insert_trojan_at(
+                let (netlist, trojan) = insert_trojan_with(
                     nl,
                     &candidate,
                     &plan,
                     payload,
+                    PayloadKind::Flip,
                     &format!("rnd{instance}"),
                     cube,
                 )?;

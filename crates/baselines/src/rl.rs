@@ -20,9 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use htforge_atpg::Cube;
-use htforge_core::insert::insert_trojan_at;
+use htforge_core::insert::insert_trojan_with;
 use htforge_core::payload::choose_payload;
-use htforge_core::{InfectedDesign, InsertionError, PayloadStrategy, TriggerPlan};
+use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TriggerPlan};
 use htforge_netlist::{netlist::NodeId, Netlist};
 use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, Tri};
@@ -222,8 +222,15 @@ impl RlInserter {
                 continue;
             };
             let cube = Cube::from_tris(vector.iter().map(|&b| Tri::from_bool(b)).collect());
-            let (netlist, trojan) =
-                insert_trojan_at(nl, set, &plan, payload, &format!("rl{i}"), cube)?;
+            let (netlist, trojan) = insert_trojan_with(
+                nl,
+                set,
+                &plan,
+                payload,
+                PayloadKind::Flip,
+                &format!("rl{i}"),
+                cube,
+            )?;
             infected.push(InfectedDesign { netlist, trojan });
         }
 

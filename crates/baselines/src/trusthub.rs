@@ -3,7 +3,7 @@
 //! The Trust-Hub benchmark family consists of *manually* inserted
 //! trojans with small trigger counts. This inserter mimics that style:
 //! it ranks rare nodes by estimated rare-value probability (the
-//! "hard-to-detect signal" criterion the Trust-Hub tooling quantifies),
+//! "hard-to-detect signal" measure the Trust-Hub tooling quantifies),
 //! slides a `q`-wide window over the threshold-adjacent band for
 //! instance diversity, and — like a human designer — validates each
 //! instance with a modest simulation sanity check rather than a
@@ -14,9 +14,9 @@
 use std::time::Instant;
 
 use htforge_atpg::Cube;
-use htforge_core::insert::insert_trojan_at;
+use htforge_core::insert::insert_trojan_with;
 use htforge_core::payload::choose_payload;
-use htforge_core::{InfectedDesign, InsertionError, PayloadStrategy, TriggerPlan};
+use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TriggerPlan};
 use htforge_netlist::{netlist::NodeId, Netlist};
 use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, Tri};
@@ -165,8 +165,15 @@ impl TrustHubInserter {
                 }
                 None => Cube::all_x(comb.inputs().len()),
             };
-            let (netlist, trojan) =
-                insert_trojan_at(nl, &window, &plan, payload, &format!("th{instance}"), cube)?;
+            let (netlist, trojan) = insert_trojan_with(
+                nl,
+                &window,
+                &plan,
+                payload,
+                PayloadKind::Flip,
+                &format!("th{instance}"),
+                cube,
+            )?;
             infected.push(InfectedDesign { netlist, trojan });
         }
 

@@ -67,6 +67,16 @@ fn extrapolate(elapsed: Duration, produced: usize) -> (String, f64) {
     }
 }
 
+/// Formats a speedup ratio: two decimals below 10 so a slowdown never
+/// rounds to "0x", whole numbers from 10 up.
+fn speedup(ratio: f64) -> String {
+    if ratio < 10.0 {
+        format!("{ratio:.2}x")
+    } else {
+        format!("{ratio:.0}x")
+    }
+}
+
 fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
@@ -205,8 +215,8 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
         rl_tt,
         q_prop.to_string(),
         prop_tt,
-        format!("{:.0}x", rand_min / prop_min.max(1e-9)),
-        format!("{:.0}x", rl_min / prop_min.max(1e-9)),
+        speedup(rand_min / prop_min.max(1e-9)),
+        speedup(rl_min / prop_min.max(1e-9)),
     ];
     Ok(Json::obj(vec![
         ("row", str_row(&row)),
@@ -373,5 +383,17 @@ fn main() {
     println!("framework (paper: avg 53 736 / 1 406 / 1.42 min; 37 816x, 989x).");
     if !failures.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::speedup;
+
+    #[test]
+    fn speedup_keeps_slowdowns_visible() {
+        assert_eq!(speedup(0.254), "0.25x");
+        assert_eq!(speedup(4.0), "4.00x");
+        assert_eq!(speedup(5778.3), "5778x");
     }
 }

@@ -7,9 +7,6 @@
 //!   eight circuits, full instance counts). The default is a scaled-down
 //!   configuration that completes in seconds.
 //! * `--circuits a,b,c` — restrict to a subset of circuits.
-//!
-//! The Criterion benches under `benches/` time the individual pipeline
-//! phases on fixed configurations.
 
 /// Re-exported from [`htforge_obs`] so the table binaries render their
 /// terminal reports and JSON table dumps through the same code path as
@@ -102,7 +99,7 @@ pub mod scalar {
     //!
     //! This is the pre-kernel `Simulator::run_on` loop, preserved here as
     //! the *baseline* the compiled [`htforge_sim::SimProgram`] is
-    //! benchmarked against (`benches/simulation.rs`, `bin/bench_sim.rs`).
+    //! benchmarked against (`bin/bench_sim.rs`).
     //! It re-dispatches on the gate kind and re-fills a scratch `Vec` for
     //! every gate × word visit — exactly the overhead the instruction
     //! tape eliminates — but its output is bit-identical to the kernel's.

@@ -107,6 +107,11 @@ fn verify_cubes(
     Ok((verified, failures))
 }
 
+/// Cube-generation workers: one per available hardware thread.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// One vertex of the compatibility graph: a rare node, its rare value,
 /// and the PODEM cube that justifies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,38 +156,21 @@ impl CompatGraph {
         rare: &RareNodeSet,
         podem_config: PodemConfig,
     ) -> Result<Self, NetlistError> {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::build_with_threads(nl, rare, podem_config, threads)
-    }
-
-    /// [`CompatGraph::build`] with an explicit worker count. Results are
-    /// identical for every `threads` value (per-fault PODEM randomization
-    /// is reseeded deterministically per fault).
-    ///
-    /// # Errors
-    ///
-    /// See [`CompatGraph::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn build_with_threads(
-        nl: &Netlist,
-        rare: &RareNodeSet,
-        podem_config: PodemConfig,
-        threads: usize,
-    ) -> Result<Self, NetlistError> {
-        Self::build_inner(nl, rare, podem_config, threads, &RunBudget::unlimited())
-            .map(|(graph, _)| graph)
+        Self::build_inner(
+            nl,
+            rare,
+            podem_config,
+            host_threads(),
+            &RunBudget::unlimited(),
+        )
+        .map(|(graph, _)| graph)
     }
 
     /// Budget-aware [`CompatGraph::build`]: cube generation stops
     /// attempting new faults once the budget is spent (in-flight PODEM
     /// searches are interrupted via the shared budget), and the
-    /// pairwise matrix falls back to a budget-checked triangular fill
-    /// that may leave later row pairs unconnected. The graph stays
+    /// pairwise matrix fill stops at the first row past the budget,
+    /// leaving later row pairs unconnected. The graph stays
     /// internally consistent (symmetric adjacency; missing edges are
     /// merely conservative) and every shortcut taken is reported as a
     /// [`DegradationNote`].
@@ -196,10 +184,7 @@ impl CompatGraph {
         podem_config: PodemConfig,
         budget: &RunBudget,
     ) -> Result<(Self, Vec<DegradationNote>), NetlistError> {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::build_inner(nl, rare, podem_config, threads, budget)
+        Self::build_inner(nl, rare, podem_config, host_threads(), budget)
     }
 
     fn build_inner(
@@ -210,79 +195,64 @@ impl CompatGraph {
         budget: &RunBudget,
     ) -> Result<(Self, Vec<DegradationNote>), NetlistError> {
         assert!(threads > 0, "need at least one worker thread");
-        let rare_list: Vec<(htforge_netlist::netlist::NodeId, bool)> =
-            rare.iter().map(|r| (r.node, r.rare_value)).collect();
+        let rare_list: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let mut notes = Vec::new();
 
-        // Phase A: one cube per rare event (parallel over faults). Each
-        // worker checks the budget before starting a fault; expired
-        // budgets skip the remaining faults (a skip is distinguishable
-        // from a PODEM drop so it can be reported).
+        // Phase A: one cube per rare event, with the faults split into
+        // one contiguous chunk per worker. Each worker checks the budget
+        // before starting a fault; expired budgets skip the remaining
+        // faults (a skip is distinguishable from a PODEM drop so it can
+        // be reported).
         let podem_span = htforge_obs::span("podem");
         let chunk_size = rare_list.len().div_ceil(threads).max(1);
-        let mut cube_results: Vec<Option<Cube>> = Vec::new();
-        let mut skipped = 0usize;
-        if threads == 1 || rare_list.len() <= 1 {
-            let mut worker = CubeWorker::new(nl, podem_config)?;
-            worker.set_run_budget(budget);
-            for (i, &(node, value)) in rare_list.iter().enumerate() {
-                if budget.check().is_err() {
-                    skipped += 1;
-                    cube_results.push(None);
-                } else {
-                    cube_results.push(worker.cube_for(i, node, value));
-                }
-            }
-        } else {
-            // Engine construction is fallible; build them up front so
-            // errors surface before any thread spawns.
-            let mut workers: Vec<CubeWorker> = (0..threads.min(rare_list.len()))
-                .map(|_| {
-                    CubeWorker::new(nl, podem_config).map(|mut w| {
-                        w.set_run_budget(budget);
-                        w
-                    })
+        // Engine construction is fallible; build at least one engine up
+        // front so errors surface before any thread spawns, even when
+        // there are no events.
+        let mut workers: Vec<CubeWorker> = (0..threads.min(rare_list.len()).max(1))
+            .map(|_| {
+                CubeWorker::new(nl, podem_config).map(|mut w| {
+                    w.set_run_budget(budget);
+                    w
                 })
-                .collect::<Result<_, _>>()?;
-            let chunks: Vec<(usize, &[(htforge_netlist::netlist::NodeId, bool)])> = rare_list
+            })
+            .collect::<Result<_, _>>()?;
+        let results: Vec<(Vec<Option<Cube>>, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = rare_list
                 .chunks(chunk_size)
                 .enumerate()
-                .map(|(k, c)| (k * chunk_size, c))
-                .collect();
-            let results: Vec<(Vec<Option<Cube>>, usize)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .zip(workers.iter_mut())
-                    .map(|((base, chunk), worker)| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(chunk.len());
-                            let mut skipped = 0usize;
-                            for (off, &(node, value)) in chunk.iter().enumerate() {
-                                if budget.check().is_err() {
-                                    skipped += 1;
-                                    out.push(None);
-                                } else {
-                                    out.push(worker.cube_for(base + off, node, value));
-                                }
+                .zip(workers.iter_mut())
+                .map(|((k, chunk), worker)| {
+                    let base = k * chunk_size;
+                    scope.spawn(move || {
+                        let mut out = Vec::with_capacity(chunk.len());
+                        let mut skipped = 0usize;
+                        for (off, &(node, value)) in chunk.iter().enumerate() {
+                            if budget.check().is_err() {
+                                skipped += 1;
+                                out.push(None);
+                            } else {
+                                out.push(worker.cube_for(base + off, node, value));
                             }
-                            (out, skipped)
-                        })
+                        }
+                        (out, skipped)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(part) => part,
-                        // Re-raise with the original payload so campaign-level
-                        // isolation reports the real panic message.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            for (part, part_skipped) in results {
-                cube_results.extend(part);
-                skipped += part_skipped;
-            }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(part) => part,
+                    // Re-raise with the original payload so campaign-level
+                    // isolation reports the real panic message.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        let mut cube_results: Vec<Option<Cube>> = Vec::with_capacity(rare_list.len());
+        let mut skipped = 0usize;
+        for (part, part_skipped) in results {
+            cube_results.extend(part);
+            skipped += part_skipped;
         }
 
         let mut events = Vec::new();
@@ -325,7 +295,9 @@ impl CompatGraph {
         // Phase B: pairwise compatibility matrix over bit-packed care
         // masks — a conflict is a single word-AND per 64 inputs, which
         // keeps Algorithm 2's O(R²) inner loop cheap even with thousands
-        // of rare events (parallelized over rows when workers exist).
+        // of rare events. The fill is triangular (both directions of a
+        // pair are set together), so stopping early at the budget keeps
+        // the matrix symmetric: unvisited pairs are just "incompatible".
         let n = events.len();
         let words = n.div_ceil(64);
         let packed: Vec<(Vec<u64>, Vec<u64>)> =
@@ -338,78 +310,29 @@ impl CompatGraph {
                 .chain(a1.iter().zip(b0))
                 .any(|(&x, &y)| x & y != 0)
         };
-        let row_of = |i: usize| -> Vec<u64> {
+        let mut adj = vec![vec![0u64; words]; n];
+        let mut ticker = BudgetTicker::new(budget.clone(), 8);
+        let mut rows_done = n;
+        for i in 0..n {
             htforge_obs::faultpoint!("compat.matrix_row");
-            let mut row = vec![0u64; words];
-            for j in 0..n {
-                if j != i && !conflicts(i, j) {
-                    row[j / 64] |= 1 << (j % 64);
+            if ticker.tick().is_err() {
+                rows_done = i;
+                break;
+            }
+            for j in i + 1..n {
+                if !conflicts(i, j) {
+                    adj[i][j / 64] |= 1 << (j % 64);
+                    adj[j][i / 64] |= 1 << (i % 64);
                 }
             }
-            row
-        };
-        let limited = !budget.is_unlimited() || budget.cancelled();
-        let adj: Vec<Vec<u64>> = if limited {
-            // Budgeted fill is triangular (both directions of a pair are
-            // set together), so stopping early keeps the matrix
-            // symmetric: unvisited pairs are just "incompatible".
-            let mut adj = vec![vec![0u64; words]; n];
-            let mut ticker = BudgetTicker::new(budget.clone(), 8);
-            let mut rows_done = n;
-            for i in 0..n {
-                htforge_obs::faultpoint!("compat.matrix_row");
-                if ticker.tick().is_err() {
-                    rows_done = i;
-                    break;
-                }
-                for j in i + 1..n {
-                    if !conflicts(i, j) {
-                        adj[i][j / 64] |= 1 << (j % 64);
-                        adj[j][i / 64] |= 1 << (i % 64);
-                    }
-                }
-            }
-            if rows_done < n {
-                notes.push(DegradationNote::new(
-                    "compat_graph",
-                    "truncated_matrix",
-                    format!("pairwise compatibility computed for {rows_done} of {n} rows"),
-                ));
-            }
-            adj
-        } else if threads == 1 || n < 256 {
-            // Triangular fill: half the pair checks of the row variant.
-            let mut adj = vec![vec![0u64; words]; n];
-            for i in 0..n {
-                htforge_obs::faultpoint!("compat.matrix_row");
-                for j in i + 1..n {
-                    if !conflicts(i, j) {
-                        adj[i][j / 64] |= 1 << (j % 64);
-                        adj[j][i / 64] |= 1 << (i % 64);
-                    }
-                }
-            }
-            adj
-        } else {
-            let row_chunk = n.div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .step_by(row_chunk)
-                    .map(|start| {
-                        let end = (start + row_chunk).min(n);
-                        let row_of = &row_of;
-                        scope.spawn(move || (start..end).map(row_of).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(rows) => rows,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            })
-        };
+        }
+        if rows_done < n {
+            notes.push(DegradationNote::new(
+                "compat_graph",
+                "truncated_matrix",
+                format!("pairwise compatibility computed for {rows_done} of {n} rows"),
+            ));
+        }
         matrix_span.finish();
         let graph = CompatGraph {
             events,
@@ -630,6 +553,49 @@ z = NOR(a, b)
                 .any(|n| n.phase == "compat_graph" && n.action == "skipped_faults"),
             "{notes:?}"
         );
+    }
+
+    #[test]
+    fn graph_is_identical_at_any_worker_count() {
+        let seeded = PodemConfig {
+            random_seed: Some(0x5EED),
+            ..PodemConfig::justify()
+        };
+        let cases = [
+            (htforge_circuits::load("c2670").unwrap(), seeded),
+            // Detect mode with a small abort limit also exercises the
+            // justify fallback and the dropped count.
+            (
+                htforge_circuits::load("s1423").unwrap().scan_cut(),
+                PodemConfig {
+                    backtrack_limit: 200,
+                    ..PodemConfig::default()
+                },
+            ),
+        ];
+        for (nl, config) in &cases {
+            let ps = PatternSet::random(nl.inputs().len(), 4_096, 11);
+            let rare = RareNodeExtractor::new(0.20).extract(nl, &ps).unwrap();
+            let unlimited = RunBudget::unlimited();
+            let build = |threads| {
+                let (g, notes) =
+                    CompatGraph::build_inner(nl, &rare, *config, threads, &unlimited).unwrap();
+                assert!(notes.is_empty(), "{notes:?}");
+                g
+            };
+            let base = build(1);
+            assert!(base.len() > 1, "{}: too few vertices to compare", nl.name());
+            for threads in [2, 3] {
+                let g = build(threads);
+                assert_eq!(g.events(), base.events(), "{} at {threads}", nl.name());
+                assert_eq!(g.dropped(), base.dropped(), "{} at {threads}", nl.name());
+                for i in 0..g.len() {
+                    for j in 0..g.len() {
+                        assert_eq!(g.compatible(i, j), base.compatible(i, j));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -415,12 +415,12 @@ impl InsertionFramework {
         // design. Structure was previously left to callers (and tests);
         // making it a pipeline phase means a malformed netlist can never
         // leave the framework silently, and gives the timing tables a
-        // `validation` column. The functional check re-simulates each
-        // design under its activation cube (incrementally — only the
-        // care-bit cones move off the all-zero base) and asserts the
-        // trigger fires and the payload gate shows the configured
-        // effect. Validation is never skipped under budget pressure: an
-        // unvalidated partial result is not a result.
+        // `validation` column. The functional check simulates each
+        // design once under its false-filled activation cube (a
+        // one-pattern kernel run) and asserts the trigger fires and the
+        // payload gate shows the configured effect. Validation is never
+        // skipped under budget pressure: an unvalidated partial result
+        // is not a result.
         let t5 = htforge_obs::span("validation");
         htforge_obs::faultpoint!("framework.validate");
         for (i, design) in infected.iter().enumerate() {

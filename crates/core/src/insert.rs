@@ -8,11 +8,9 @@
 use htforge_atpg::Cube;
 use htforge_netlist::{netlist::NodeId, GateKind, Netlist};
 
-use crate::compat::CompatGraph;
 use crate::error::InsertionError;
 use crate::payload::PayloadKind;
 use crate::trigger::{PlanSignal, TriggerPlan};
-use crate::Clique;
 
 /// Everything known about one inserted trojan.
 #[derive(Debug, Clone)]
@@ -52,9 +50,12 @@ impl TrojanInstance {
     }
 }
 
-/// Inserts the trojan described by `clique`/`plan` into a copy of `nl`,
-/// with the payload spliced over `payload_net`. Inserted signals are
-/// named `ht{tag}_…` so multiple instances can coexist.
+/// Inserts the trojan whose trigger taps `leaves` (rare node, rare
+/// value) through `plan` into a copy of `nl`, with a `payload_kind`
+/// splice over `payload_net`. Inserted signals are named `ht{tag}_…` so
+/// multiple instances can coexist. `activation_cube` is stored verbatim
+/// in the returned [`TrojanInstance`]; pass an all-X cube when no joint
+/// trigger vector is known.
 ///
 /// The caller is responsible for having validated that `payload_net` is
 /// acyclicity-safe (see [`crate::payload`]); the resulting netlist is
@@ -64,81 +65,6 @@ impl TrojanInstance {
 ///
 /// Returns [`InsertionError::Netlist`] if instantiation produces an
 /// invalid netlist (e.g. an unsafe payload net creating a cycle).
-///
-/// # Panics
-///
-/// Panics if `plan` and `clique` disagree on the number of trigger nodes.
-pub fn insert_trojan(
-    nl: &Netlist,
-    graph: &CompatGraph,
-    clique: &Clique,
-    plan: &TriggerPlan,
-    payload_net: NodeId,
-    tag: &str,
-) -> Result<(Netlist, TrojanInstance), InsertionError> {
-    assert_eq!(
-        plan.num_leaves(),
-        clique.len(),
-        "trigger plan and clique disagree on q"
-    );
-    let leaves: Vec<(NodeId, bool)> = clique
-        .members
-        .iter()
-        .map(|&m| {
-            let e = &graph.events()[m];
-            (e.node, e.rare_value)
-        })
-        .collect();
-    insert_trojan_at(
-        nl,
-        &leaves,
-        plan,
-        payload_net,
-        tag,
-        clique.activation_cube.clone(),
-    )
-}
-
-/// Low-level variant of [`insert_trojan`] for callers (e.g. the baseline
-/// inserters) that assemble their own trigger sets without a
-/// compatibility graph. `activation_cube` is stored verbatim in the
-/// returned [`TrojanInstance`]; pass an all-X cube when no joint trigger
-/// vector is known.
-///
-/// # Errors
-///
-/// Returns [`InsertionError::Netlist`] if instantiation produces an
-/// invalid netlist.
-///
-/// # Panics
-///
-/// Panics if `plan.num_leaves() != leaves.len()`.
-pub fn insert_trojan_at(
-    nl: &Netlist,
-    leaves: &[(NodeId, bool)],
-    plan: &TriggerPlan,
-    payload_net: NodeId,
-    tag: &str,
-    activation_cube: Cube,
-) -> Result<(Netlist, TrojanInstance), InsertionError> {
-    insert_trojan_with(
-        nl,
-        leaves,
-        plan,
-        payload_net,
-        PayloadKind::Flip,
-        tag,
-        activation_cube,
-    )
-}
-
-/// Full-control variant of [`insert_trojan_at`]: selects the payload
-/// effect ([`PayloadKind`]) applied to the payload net.
-///
-/// # Errors
-///
-/// Returns [`InsertionError::Netlist`] if instantiation produces an
-/// invalid netlist.
 ///
 /// # Panics
 ///
@@ -256,6 +182,7 @@ pub fn check_payload_safe(
 mod tests {
     use super::*;
     use crate::clique::enumerate_cliques;
+    use crate::compat::CompatGraph;
     use htforge_atpg::PodemConfig;
     use htforge_netlist::bench;
     use htforge_sim::simulator::BoundSimulator;
@@ -280,30 +207,24 @@ v = NOR(c1, c2)
 o = XOR(a1, b1)
 ";
 
-    fn setup() -> (Netlist, CompatGraph, Clique) {
+    /// Builds the compatibility graph of `FOUR_CONES`, takes its first
+    /// 3-clique and inserts a flip trojan over the most observable safe net.
+    fn infect() -> (Netlist, Netlist, TrojanInstance) {
         let nl = bench::parse(FOUR_CONES, "t").unwrap();
         let ps = PatternSet::random(6, 10_000, 1);
         let rare = RareNodeExtractor::new(0.30).extract(&nl, &ps).unwrap();
         let graph = CompatGraph::build(&nl, &rare, PodemConfig::default()).unwrap();
         let cliques = enumerate_cliques(&graph, 3, 10, 0);
         assert!(!cliques.is_empty(), "w, x, v should form a clique");
-        (nl, graph, cliques[0].clone())
-    }
-
-    #[test]
-    fn infected_netlist_validates_and_grows() {
-        let (nl, graph, clique) = setup();
-        let rare_values: Vec<bool> = clique
+        let clique = &cliques[0];
+        let leaves: Vec<(NodeId, bool)> = clique
             .members
             .iter()
-            .map(|&m| graph.events()[m].rare_value)
+            .map(|&m| (graph.events()[m].node, graph.events()[m].rare_value))
             .collect();
+        let rare_values: Vec<bool> = leaves.iter().map(|&(_, v)| v).collect();
+        let trigger_nodes: Vec<NodeId> = leaves.iter().map(|&(n, _)| n).collect();
         let plan = TriggerPlan::synthesize(&rare_values, 4);
-        let trigger_nodes: Vec<NodeId> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].node)
-            .collect();
         let scoap = htforge_scoap::Scoap::compute(&nl).unwrap();
         let payload = crate::payload::choose_payload(
             &nl,
@@ -312,7 +233,22 @@ o = XOR(a1, b1)
             crate::PayloadStrategy::MostObservable,
         )
         .unwrap();
-        let (infected, trojan) = insert_trojan(&nl, &graph, &clique, &plan, payload, "0").unwrap();
+        let (infected, trojan) = insert_trojan_with(
+            &nl,
+            &leaves,
+            &plan,
+            payload,
+            PayloadKind::Flip,
+            "0",
+            clique.activation_cube.clone(),
+        )
+        .unwrap();
+        (nl, infected, trojan)
+    }
+
+    #[test]
+    fn infected_netlist_validates_and_grows() {
+        let (nl, infected, trojan) = infect();
         assert!(infected.validate().is_ok());
         assert_eq!(
             infected.node_count(),
@@ -323,27 +259,7 @@ o = XOR(a1, b1)
 
     #[test]
     fn activation_cube_triggers_and_flips_output() {
-        let (nl, graph, clique) = setup();
-        let rare_values: Vec<bool> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].rare_value)
-            .collect();
-        let plan = TriggerPlan::synthesize(&rare_values, 4);
-        let trigger_nodes: Vec<NodeId> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].node)
-            .collect();
-        let scoap = htforge_scoap::Scoap::compute(&nl).unwrap();
-        let payload = crate::payload::choose_payload(
-            &nl,
-            &scoap,
-            &trigger_nodes,
-            crate::PayloadStrategy::MostObservable,
-        )
-        .unwrap();
-        let (infected, trojan) = insert_trojan(&nl, &graph, &clique, &plan, payload, "0").unwrap();
+        let (nl, infected, trojan) = infect();
 
         let mut rng = StdRng::seed_from_u64(9);
         let vector = trojan.activation_cube.fill_random(&mut rng);
@@ -367,27 +283,7 @@ o = XOR(a1, b1)
 
     #[test]
     fn non_activating_vectors_leave_outputs_untouched() {
-        let (nl, graph, clique) = setup();
-        let rare_values: Vec<bool> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].rare_value)
-            .collect();
-        let plan = TriggerPlan::synthesize(&rare_values, 4);
-        let trigger_nodes: Vec<NodeId> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].node)
-            .collect();
-        let scoap = htforge_scoap::Scoap::compute(&nl).unwrap();
-        let payload = crate::payload::choose_payload(
-            &nl,
-            &scoap,
-            &trigger_nodes,
-            crate::PayloadStrategy::MostObservable,
-        )
-        .unwrap();
-        let (infected, trojan) = insert_trojan(&nl, &graph, &clique, &plan, payload, "0").unwrap();
+        let (nl, infected, trojan) = infect();
 
         let golden_sim = BoundSimulator::new(&nl).unwrap();
         let infected_sim = BoundSimulator::new(&infected).unwrap();

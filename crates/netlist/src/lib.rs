@@ -17,9 +17,7 @@
 //! * [`verilog`] — a structural-Verilog writer (for synthesis hand-off),
 //! * [`graph`] — levelization, topological order, cones and reachability,
 //! * [`area`] — a Nangate-45nm-style standard-cell area model used by the
-//!   paper's Table V (area-overhead analysis),
-//! * [`opt`] — dead-gate sweeping and constant folding for imported
-//!   netlists.
+//!   paper's Table V (area-overhead analysis).
 //!
 //! # Examples
 //!
@@ -45,7 +43,6 @@ pub mod graph;
 pub mod hier;
 pub mod intern;
 pub mod netlist;
-pub mod opt;
 pub mod verilog;
 
 pub use area::{AreaModel, AreaReport};

@@ -7,7 +7,6 @@
 //! * [`program`] — the compiled simulation kernel every caller runs on,
 //! * [`simulator`] — 64-way bit-parallel 2-valued simulation,
 //! * [`tri`] — three-valued (0/1/X) logic and cube simulation,
-//! * [`prob`] — signal-probability estimation,
 //! * [`rare`] — **rare-node extraction, paper Algorithm 1**,
 //! * [`sequential`] — cycle-accurate (non-scan) simulation for
 //!   sequential trojans,
@@ -35,7 +34,6 @@
 //! ```
 
 pub mod patterns;
-pub mod prob;
 pub mod program;
 pub mod rare;
 pub mod seq_batch;

@@ -4,7 +4,8 @@
 //! * a panic anywhere in a circuit's pipeline loses only that circuit
 //!   (the campaign records a failure and continues),
 //! * a delay that blows past the deadline yields `Timeout`/degradation
-//!   notes, never a hang,
+//!   notes, never a hang, and a matrix fill cut short by the deadline
+//!   still leaves a symmetric compatibility graph,
 //! * a failed checkpoint write degrades resume, not the run,
 //! * a panic inside the campaign server's dispatch path loses only that
 //!   job (the daemon keeps serving; zero lost jobs),
@@ -18,7 +19,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use htforge::atpg::PodemConfig;
-use htforge::core::{InsertionConfig, InsertionError, InsertionFramework};
+use htforge::core::{CompatGraph, InsertionConfig, InsertionError, InsertionFramework};
 use htforge::obs::faultpoint::{arm, disarm_all, Action, CATALOG};
 use htforge::obs::{Json, RunBudget};
 use htforge_bench::campaign::{Campaign, CircuitOutcome};
@@ -192,6 +193,45 @@ fn insertion_delay_degrades_to_fewer_instances() {
         }
         Err(InsertionError::Timeout { .. }) => {} // all budget gone pre-insertion
         Err(other) => panic!("unexpected error {other}"),
+    }
+}
+
+#[test]
+fn truncated_matrix_stays_symmetric() {
+    let _gate = lock();
+    disarm_all();
+    // Cube generation runs free; each matrix row stalls 20 ms, so a 2 s
+    // deadline cuts the pairwise fill short of c2670's few hundred rows.
+    let nl = htforge::circuits::load("c2670").unwrap();
+    let vectors = htforge::sim::PatternSet::random(nl.inputs().len(), 4_096, 5);
+    let rare = htforge::sim::RareNodeExtractor::new(0.20)
+        .extract(&nl, &vectors)
+        .unwrap();
+    let full = CompatGraph::build(&nl, &rare, PodemConfig::justify()).unwrap();
+
+    arm(
+        "compat.matrix_row",
+        Action::Delay(Duration::from_millis(20)),
+    );
+    let budget = RunBudget::with_deadline(Duration::from_secs(2));
+    let result = CompatGraph::build_budgeted(&nl, &rare, PodemConfig::justify(), &budget);
+    disarm_all();
+    let (graph, notes) = result.unwrap();
+    assert!(
+        notes.iter().any(|n| n.action == "truncated_matrix"),
+        "{notes:?}"
+    );
+    assert_eq!(graph.len(), full.len(), "cube generation must complete");
+    for i in 0..graph.len() {
+        for j in 0..graph.len() {
+            assert_eq!(graph.compatible(i, j), graph.compatible(j, i), "({i}, {j})");
+            // Missing edges are conservative: no pair the full fill
+            // rejects is ever marked compatible.
+            assert!(
+                !graph.compatible(i, j) || full.compatible(i, j),
+                "({i}, {j})"
+            );
+        }
     }
 }
 
