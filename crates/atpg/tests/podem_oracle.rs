@@ -1,6 +1,8 @@
 //! Oracle tests: PODEM against brute-force enumeration on small random
 //! circuits. For every fault, PODEM's verdict (testable/untestable) and
-//! any produced cube must agree with exhaustive ground truth.
+//! any produced cube must agree with exhaustive ground truth, and a
+//! witness-guided justify search must follow any satisfying vector
+//! without backtracking.
 
 use proptest::prelude::*;
 
@@ -8,6 +10,7 @@ use htforge_atpg::{Fault, Podem, PodemConfig, TestResult};
 use htforge_netlist::{GateKind, Netlist, NodeId};
 use htforge_sim::simulator::BoundSimulator;
 use htforge_sim::PatternSet;
+use htforge_sim::Tri;
 
 /// Builds a random small combinational netlist from a byte script
 /// (deterministic in the input bytes — proptest shrinks nicely).
@@ -199,6 +202,44 @@ proptest! {
                     TestResult::Aborted | TestResult::TimedOut => {
                         prop_assert!(false, "abort at toy size");
                     }
+                }
+            }
+        }
+    }
+
+    /// Every satisfying vector of every justifiable (node, value) is a
+    /// witness the guided search follows: it finds a test with zero
+    /// backtracks whose care bits are a sub-cube of the witness.
+    #[test]
+    fn witnessed_justify_follows_every_satisfying_vector(
+        num_inputs in 2usize..6,
+        script in proptest::collection::vec(any::<u8>(), 9..45),
+    ) {
+        let nl = build_random_netlist(num_inputs, &script);
+        let vectors: Vec<Vec<bool>> = (0..1usize << num_inputs)
+            .map(|p| (0..num_inputs).map(|i| (p >> i) & 1 == 1).collect())
+            .collect();
+        let all = PatternSet::from_vectors(num_inputs, &vectors);
+        let good = BoundSimulator::new(&nl).expect("valid").run(&all);
+        let mut podem = Podem::new(&nl, PodemConfig::justify()).expect("valid");
+        for id in nl.node_ids() {
+            for value in [false, true] {
+                let fault = Fault::for_rare_event(id, value);
+                for (p, witness) in vectors.iter().enumerate() {
+                    if good.value(id, p) != value {
+                        continue;
+                    }
+                    let result = podem.generate_witnessed(fault, &good, p);
+                    prop_assert_eq!(podem.last_backtracks(), 0);
+                    let TestResult::Test(cube) = result else {
+                        return Err(TestCaseError::fail(format!(
+                            "witnessed {fault} gave {result:?}"
+                        )));
+                    };
+                    for (&bit, &w) in cube.bits().iter().zip(witness) {
+                        prop_assert!(bit == Tri::X || bit == Tri::from_bool(w));
+                    }
+                    prop_assert!(cube_achieves(&nl, &cube, fault, false));
                 }
             }
         }

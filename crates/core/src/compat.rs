@@ -7,11 +7,17 @@
 //! Complete subgraphs of this graph are sets of rare nodes that a single
 //! merged vector drives to their rare values simultaneously — the trojan
 //! insertion points.
+//!
+//! Rare profiling already saw most rare events fire. Justification
+//! follows that profiling pattern (the event's *witness*), which can
+//! never backtrack; only events without a witness run a plain search.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use htforge_atpg::{Cube, Fault, Podem, PodemConfig, PodemMode, TestResult};
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 use htforge_obs::{BudgetTicker, DegradationNote, RunBudget};
-use htforge_sim::{PatternSet, RareNodeSet, SimProgram};
+use htforge_sim::{NodeValues, PatternSet, RareNodeSet, SimProgram};
 
 /// Per-thread cube generator: a detect-mode engine with a justify-mode
 /// fallback (a justification cube is all a trigger needs).
@@ -19,6 +25,8 @@ struct CubeWorker {
     podem: Podem,
     justify: Option<Podem>,
     base_seed: Option<u64>,
+    /// Searches this worker ran along a witness.
+    witnessed: usize,
 }
 
 impl CubeWorker {
@@ -38,6 +46,7 @@ impl CubeWorker {
             podem: Podem::new(nl, config)?,
             justify,
             base_seed: config.random_seed,
+            witnessed: 0,
         })
     }
 
@@ -50,11 +59,14 @@ impl CubeWorker {
         }
     }
 
+    /// The cube for event `index`. A `witness` (node values and the
+    /// column that fires the event) guides the justify-mode search: the
+    /// main engine in justify mode, the fallback in detect mode.
     fn cube_for(
         &mut self,
         index: usize,
-        node: htforge_netlist::netlist::NodeId,
-        rare_value: bool,
+        event: (NodeId, bool),
+        witness: Option<(&NodeValues, usize)>,
     ) -> Option<Cube> {
         htforge_obs::faultpoint!("compat.cube");
         if let Some(seed) = self.base_seed {
@@ -65,15 +77,23 @@ impl CubeWorker {
                 j.reseed(s);
             }
         }
-        let fault = Fault::for_rare_event(node, rare_value);
-        match self.podem.generate(fault) {
-            TestResult::Test(cube) => Some(cube),
-            TestResult::Untestable | TestResult::Aborted | TestResult::TimedOut => {
-                self.justify.as_mut().and_then(|p| match p.generate(fault) {
-                    TestResult::Test(cube) => Some(cube),
-                    _ => None,
-                })
+        let fault = Fault::for_rare_event(event.0, event.1);
+        let witnessed = &mut self.witnessed;
+        let mut justify = |podem: &mut Podem| match witness {
+            Some((values, column)) => {
+                *witnessed += 1;
+                podem.generate_witnessed(fault, values, column)
             }
+            None => podem.generate(fault),
+        };
+        match self.justify.as_mut() {
+            None => justify(&mut self.podem).cube(),
+            Some(fallback) => match self.podem.generate(fault) {
+                TestResult::Test(cube) => Some(cube),
+                TestResult::Untestable | TestResult::Aborted | TestResult::TimedOut => {
+                    justify(fallback).cube()
+                }
+            },
         }
     }
 }
@@ -83,12 +103,8 @@ impl CubeWorker {
 /// evaluates them all. An event survives if its node shows the rare value
 /// in its own column. Returns the survivors (in order) and the number
 /// dropped, which is also added to `compat.cube_verify_failures`.
-fn verify_cubes(
-    nl: &Netlist,
-    events: Vec<RareEvent>,
-) -> Result<(Vec<RareEvent>, usize), NetlistError> {
-    let prog = SimProgram::compile(nl)?;
-    let mut vectors = PatternSet::zeros(nl.inputs().len(), 0);
+fn verify_cubes(prog: &SimProgram, events: Vec<RareEvent>) -> (Vec<RareEvent>, usize) {
+    let mut vectors = PatternSet::zeros(prog.num_inputs(), 0);
     for e in &events {
         vectors.push(&e.cube.fill_with(false));
     }
@@ -104,7 +120,30 @@ fn verify_cubes(
     if failures > 0 {
         htforge_obs::counter("compat.cube_verify_failures").add(failures as u64);
     }
-    Ok((verified, failures))
+    (verified, failures)
+}
+
+/// Simulates the witness patterns of `rare` on the compiled netlist and
+/// returns, per event in `rare.iter()` order, the witness column if the
+/// event's node really takes its rare value there. Any other event (no
+/// witness, or a `rare` profiled on a different netlist) gets `None` and
+/// a plain search.
+fn witness_columns(prog: &SimProgram, rare: &RareNodeSet) -> (NodeValues, Vec<Option<usize>>) {
+    let patterns = if rare.witnesses().num_inputs() == prog.num_inputs() {
+        rare.witnesses()
+    } else {
+        &PatternSet::zeros(prog.num_inputs(), 0)
+    };
+    let values = prog.run(patterns);
+    let columns = rare
+        .iter()
+        .map(|r| {
+            let column = r.witness? as usize;
+            (column < values.len() && values.value(r.node, column) == r.rare_value)
+                .then_some(column)
+        })
+        .collect();
+    (values, columns)
 }
 
 /// Cube-generation workers: one per available hardware thread.
@@ -198,13 +237,15 @@ impl CompatGraph {
         let rare_list: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let mut notes = Vec::new();
 
-        // Phase A: one cube per rare event, with the faults split into
-        // one contiguous chunk per worker. Each worker checks the budget
-        // before starting a fault; expired budgets skip the remaining
-        // faults (a skip is distinguishable from a PODEM drop so it can
-        // be reported).
+        // Phase A: one cube per rare event. Workers take the next fault
+        // from one shared index, so a few slow faults cannot pile up on
+        // one worker; results are stored by event index. Each worker
+        // checks the budget before starting a fault; expired budgets
+        // skip the remaining faults (a skip is distinguishable from a
+        // PODEM drop so it can be reported).
         let podem_span = htforge_obs::span("podem");
-        let chunk_size = rare_list.len().div_ceil(threads).max(1);
+        let prog = SimProgram::compile(nl)?;
+        let (witness_values, witness_columns) = witness_columns(&prog, rare);
         // Engine construction is fallible; build at least one engine up
         // front so errors surface before any thread spawns, even when
         // there are no events.
@@ -216,25 +257,31 @@ impl CompatGraph {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let results: Vec<(Vec<Option<Cube>>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = rare_list
-                .chunks(chunk_size)
-                .enumerate()
-                .zip(workers.iter_mut())
-                .map(|((k, chunk), worker)| {
-                    let base = k * chunk_size;
+        let next = AtomicUsize::new(0);
+        let results: Vec<(Vec<(usize, Cube)>, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .map(|worker| {
+                    let (next, rare_list) = (&next, &rare_list);
+                    let (witness_values, witness_columns) = (&witness_values, &witness_columns);
                     scope.spawn(move || {
-                        let mut out = Vec::with_capacity(chunk.len());
+                        let mut cubes = Vec::new();
                         let mut skipped = 0usize;
-                        for (off, &(node, value)) in chunk.iter().enumerate() {
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= rare_list.len() {
+                                break;
+                            }
                             if budget.check().is_err() {
                                 skipped += 1;
-                                out.push(None);
-                            } else {
-                                out.push(worker.cube_for(base + off, node, value));
+                                continue;
+                            }
+                            let witness = witness_columns[i].map(|c| (witness_values, c));
+                            if let Some(cube) = worker.cube_for(i, rare_list[i], witness) {
+                                cubes.push((i, cube));
                             }
                         }
-                        (out, skipped)
+                        (cubes, skipped)
                     })
                 })
                 .collect();
@@ -248,12 +295,15 @@ impl CompatGraph {
                 })
                 .collect()
         });
-        let mut cube_results: Vec<Option<Cube>> = Vec::with_capacity(rare_list.len());
+        let mut cube_results: Vec<Option<Cube>> = vec![None; rare_list.len()];
         let mut skipped = 0usize;
-        for (part, part_skipped) in results {
-            cube_results.extend(part);
+        for (cubes, part_skipped) in results {
+            for (i, cube) in cubes {
+                cube_results[i] = Some(cube);
+            }
             skipped += part_skipped;
         }
+        let witnessed: usize = workers.iter().map(|w| w.witnessed).sum();
 
         let mut events = Vec::new();
         let mut dropped = 0usize;
@@ -273,7 +323,7 @@ impl CompatGraph {
         // to drive its event (which would take a PODEM defect) is dropped
         // like an unattainable fault — the graph stays sound either way.
         let verify_span = htforge_obs::span("compat_cube_verify");
-        let (events, failures) = verify_cubes(nl, events)?;
+        let (events, failures) = verify_cubes(&prog, events);
         dropped += failures;
         verify_span.finish();
 
@@ -290,6 +340,7 @@ impl CompatGraph {
         podem_span.finish();
         htforge_obs::counter("compat.events").add(events.len() as u64);
         htforge_obs::counter("compat.dropped").add(dropped as u64);
+        htforge_obs::counter("compat.witnessed").add(witnessed as u64);
         let matrix_span = htforge_obs::span("compat_matrix");
 
         // Phase B: pairwise compatibility matrix over bit-packed care
@@ -598,6 +649,87 @@ z = NOR(a, b)
         }
     }
 
+    /// Witness guidance against plain PODEM on real circuits in justify
+    /// mode, as the framework runs it: every event plain PODEM finds a
+    /// cube for is still a vertex, no more events are dropped, cubes are
+    /// no denser on average, and every vertex cube justifies its event
+    /// with its don't-cares left X.
+    #[test]
+    fn witnessed_graph_keeps_every_plain_vertex() {
+        let config = PodemConfig::justify();
+        for name in ["c2670", "c3540", "s1423"] {
+            let nl = htforge_circuits::load(name).unwrap().scan_cut();
+            let ps = PatternSet::random(nl.inputs().len(), 10_000, 0xC0FFEE);
+            let rare = RareNodeExtractor::new(0.20).extract(&nl, &ps).unwrap();
+            let g = CompatGraph::build(&nl, &rare, config).unwrap();
+            let vertices: std::collections::HashMap<(NodeId, bool), &Cube> = g
+                .events()
+                .iter()
+                .map(|e| ((e.node, e.rare_value), &e.cube))
+                .collect();
+            let mut plain = Podem::new(&nl, config).unwrap();
+            let (mut plain_dropped, mut plain_care, mut care) = (0, 0, 0);
+            for r in rare.iter() {
+                match plain.generate(Fault::for_rare_event(r.node, r.rare_value)) {
+                    TestResult::Test(cube) => {
+                        let vertex = vertices
+                            .get(&(r.node, r.rare_value))
+                            .unwrap_or_else(|| panic!("{name}: lost a plain vertex"));
+                        plain_care += cube.care_count();
+                        care += vertex.care_count();
+                    }
+                    _ => plain_dropped += 1,
+                }
+            }
+            assert!(g.dropped() <= plain_dropped, "{name}");
+            assert!(
+                care <= plain_care,
+                "{name}: {care} > {plain_care} care bits"
+            );
+            for e in g.events() {
+                assert!(
+                    justifies(&nl, e.cube.bits(), e.node, e.rare_value).unwrap(),
+                    "{name}: cube {} does not justify {}={}",
+                    e.cube,
+                    nl.node(e.node).name(),
+                    e.rare_value
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn witness_that_misses_on_this_netlist_is_not_followed() {
+        // Profiled on TWO_CONES, built on a twin whose x is a NAND: x's
+        // witness (a = b = 1) now gives x = 0, so x runs a plain search;
+        // y and z still fire on their witnesses. A profile with the wrong
+        // input count gives no witnesses at all.
+        let nl = bench::parse(TWO_CONES, "t").unwrap();
+        let twin = bench::parse(&TWO_CONES.replace("x = AND", "x = NAND"), "t").unwrap();
+        let rare = RareNodeExtractor::new(0.30)
+            .extract(&nl, &PatternSet::random(4, 10_000, 3))
+            .unwrap();
+        let prog = SimProgram::compile(&twin).unwrap();
+        let (_, columns) = witness_columns(&prog, &rare);
+        let x = nl.find("x").unwrap();
+        for (r, column) in rare.iter().zip(&columns) {
+            assert_eq!(column.is_none(), r.node == x, "{}", nl.node(r.node).name());
+        }
+        let g = CompatGraph::build(&twin, &rare, PodemConfig::justify()).unwrap();
+        assert_eq!(g.len(), rare.len());
+        for e in g.events() {
+            assert!(justifies(&twin, e.cube.bits(), e.node, e.rare_value).unwrap());
+        }
+
+        let c17 = htforge_circuits::load("c17").unwrap();
+        let foreign = RareNodeExtractor::new(0.30)
+            .extract(&c17, &PatternSet::random(5, 1_000, 3))
+            .unwrap();
+        assert!(!foreign.witnesses().is_empty());
+        let (_, columns) = witness_columns(&prog, &foreign);
+        assert!(columns.iter().all(Option::is_none));
+    }
+
     #[test]
     fn batched_cube_check_drops_a_cube_that_misses_its_event() {
         // 130 hand-built cubes (two full words plus a 2-bit tail word)
@@ -639,7 +771,7 @@ z = NOR(a, b)
             .collect();
 
         let failures_before = htforge_obs::counter("compat.cube_verify_failures").get();
-        let (verified, failures) = verify_cubes(&nl, events.clone()).unwrap();
+        let (verified, failures) = verify_cubes(&prog, events.clone());
         assert_eq!(failures, 1);
         assert_eq!(verified.len(), 129);
         let mut expected = events;

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 /// assert!(ps.get(1, 2));
 /// assert!(!ps.get(0, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternSet {
     num_inputs: usize,
     len: usize,

@@ -11,7 +11,7 @@ use htforge_netlist::{netlist::NodeId, Netlist, NetlistError, NodeKind};
 use htforge_obs::{DegradationNote, RunBudget};
 
 use crate::patterns::PatternSet;
-use crate::simulator::Simulator;
+use crate::simulator::{NodeValues, Simulator};
 
 /// A node identified as rare, together with its rare value and how often
 /// it reached that value during profiling.
@@ -23,6 +23,10 @@ pub struct RareNode {
     pub rare_value: bool,
     /// Number of profiling patterns in which the node took `rare_value`.
     pub count: u64,
+    /// Column of [`RareNodeSet::witnesses`] holding the first profiling
+    /// pattern in which the node took `rare_value`; `None` when it never
+    /// did (`count == 0`).
+    pub witness: Option<u32>,
 }
 
 impl RareNode {
@@ -47,6 +51,7 @@ pub struct RareNodeSet {
     rn1: Vec<RareNode>,
     rn0: Vec<RareNode>,
     samples: usize,
+    witnesses: PatternSet,
 }
 
 impl RareNodeSet {
@@ -83,6 +88,16 @@ impl RareNodeSet {
     #[must_use]
     pub fn samples(&self) -> usize {
         self.samples
+    }
+
+    /// The distinct witness patterns, in the order they occur in the
+    /// profiling set: column `k` is the input vector of every rare node
+    /// whose [`RareNode::witness`] is `Some(k)`. Each such vector drives
+    /// its nodes to their rare values, which is what witness-guided cube
+    /// generation follows.
+    #[must_use]
+    pub fn witnesses(&self) -> &PatternSet {
+        &self.witnesses
     }
 
     /// Finds the rare entry for a node, if the node is rare.
@@ -187,18 +202,18 @@ impl RareNodeExtractor {
     ) -> Result<RareNodeSet, NetlistError> {
         htforge_obs::faultpoint!("rare.extract_chunk");
         let sim = Simulator::new(nl)?;
-        let values = sim.run_on(nl, patterns);
-        let ones: Vec<u64> = nl.node_ids().map(|id| values.count_ones(id)).collect();
-        Ok(self.classify(nl, &ones, patterns.len()))
+        let mut profile = Profile::new(nl.node_count());
+        profile.observe(nl, &sim.run_on(nl, patterns), 0);
+        Ok(self.classify(nl, &profile, patterns, patterns.len()))
     }
 
     /// Budget-aware Algorithm 1: like [`RareNodeExtractor::extract`],
     /// but the simulation is chunked (2048 patterns per chunk) and the
     /// budget is checked between chunks. When the budget runs out the
     /// profile is computed from the patterns simulated so far and a
-    /// [`DegradationNote`] reports the truncation; counts over the
-    /// simulated prefix are identical to what a full run would have
-    /// seen for those patterns.
+    /// [`DegradationNote`] reports the truncation; counts and witnesses
+    /// over the simulated prefix are identical to what a full run would
+    /// have seen for those patterns.
     ///
     /// With an unlimited budget this delegates to `extract` outright —
     /// same code path, zero overhead.
@@ -224,7 +239,7 @@ impl RareNodeExtractor {
         const CHUNK: usize = 2048;
         let sim = Simulator::new(nl)?;
         let num_inputs = patterns.num_inputs();
-        let mut ones = vec![0u64; nl.node_count()];
+        let mut profile = Profile::new(nl.node_count());
         let mut simulated = 0usize;
         while simulated < patterns.len() {
             if budget.check().is_err() {
@@ -238,10 +253,7 @@ impl RareNodeExtractor {
             for input in 0..num_inputs {
                 chunk.set_input_words(input, &patterns.input_words(input)[w0..w1]);
             }
-            let values = sim.run_on(nl, &chunk);
-            for (i, id) in nl.node_ids().enumerate() {
-                ones[i] += values.count_ones(id);
-            }
+            profile.observe(nl, &sim.run_on(nl, &chunk), simulated);
             simulated += len;
         }
         let note = (simulated < patterns.len()).then(|| {
@@ -251,17 +263,25 @@ impl RareNodeExtractor {
                 format!("profiled {simulated} of {} patterns", patterns.len()),
             )
         });
-        Ok((self.classify(nl, &ones, simulated), note))
+        Ok((self.classify(nl, &profile, patterns, simulated), note))
     }
 
-    /// Classifies nodes into RN1/RN0 given per-node one-counts over
-    /// `samples` simulated patterns (the tail of Algorithm 1).
-    fn classify(&self, nl: &Netlist, ones: &[u64], samples: usize) -> RareNodeSet {
+    /// Classifies nodes into RN1/RN0 given the profile of the first
+    /// `samples` patterns of `patterns` (the tail of Algorithm 1), and
+    /// copies each rare node's first firing pattern into the witness set.
+    fn classify(
+        &self,
+        nl: &Netlist,
+        profile: &Profile,
+        patterns: &PatternSet,
+        samples: usize,
+    ) -> RareNodeSet {
         let threshold = (self.theta * samples as f64).floor() as u64;
         let mut set = RareNodeSet {
             rn1: Vec::new(),
             rn0: Vec::new(),
             samples,
+            witnesses: PatternSet::zeros(patterns.num_inputs(), 0),
         };
         if samples == 0 {
             return set;
@@ -275,24 +295,87 @@ impl RareNodeExtractor {
             if !self.include_outputs && nl.is_output(id) {
                 continue;
             }
-            let ones = ones[i];
+            let ones = profile.ones[i];
             let zeros = samples as u64 - ones;
+            // Witnesses hold pattern indices here; renumbered to columns
+            // once every rare node is known.
+            let rare = |rare_value: bool, count: u64| RareNode {
+                node: id,
+                rare_value,
+                count,
+                witness: profile.first_fire(i, rare_value),
+            };
             if ones <= threshold {
-                set.rn1.push(RareNode {
-                    node: id,
-                    rare_value: true,
-                    count: ones,
-                });
+                set.rn1.push(rare(true, ones));
             } else if zeros <= threshold {
-                set.rn0.push(RareNode {
-                    node: id,
-                    rare_value: false,
-                    count: zeros,
-                });
+                set.rn0.push(rare(false, zeros));
             }
+        }
+        let mut fired: Vec<u32> = set.iter().filter_map(|r| r.witness).collect();
+        fired.sort_unstable();
+        fired.dedup();
+        for &p in &fired {
+            set.witnesses.push(&patterns.pattern(p as usize));
+        }
+        for r in set.rn1.iter_mut().chain(set.rn0.iter_mut()) {
+            r.witness = r
+                .witness
+                .map(|p| fired.binary_search(&p).expect("witness recorded") as u32);
         }
         set
     }
+}
+
+/// Per-node tallies over the simulated patterns: how often each node was
+/// 1, and the first pattern in which it was 0 and 1 (`u32::MAX` while
+/// unseen).
+struct Profile {
+    ones: Vec<u64>,
+    first: [Vec<u32>; 2],
+}
+
+impl Profile {
+    fn new(nodes: usize) -> Self {
+        Profile {
+            ones: vec![0; nodes],
+            first: [vec![u32::MAX; nodes], vec![u32::MAX; nodes]],
+        }
+    }
+
+    /// Adds one simulated chunk whose pattern 0 is profiling pattern
+    /// `offset`. First fires already seen are kept, so chunks must come
+    /// in order.
+    fn observe(&mut self, nl: &Netlist, values: &NodeValues, offset: usize) {
+        let tail = PatternSet::tail_mask(values.len());
+        for (i, id) in nl.node_ids().enumerate() {
+            let words = values.words(id);
+            self.ones[i] += values.count_ones(id);
+            for value in [false, true] {
+                let first = &mut self.first[usize::from(value)][i];
+                if *first == u32::MAX {
+                    if let Some(p) = first_set_bit(words, value, tail) {
+                        *first = u32::try_from(offset + p).expect("pattern index fits in u32");
+                    }
+                }
+            }
+        }
+    }
+
+    fn first_fire(&self, node: usize, value: bool) -> Option<u32> {
+        let p = self.first[usize::from(value)][node];
+        (p != u32::MAX).then_some(p)
+    }
+}
+
+/// Index of the first pattern in which a packed column equals `value`
+/// (`!words` for 0, with the final word cut to `tail`).
+fn first_set_bit(words: &[u64], value: bool, tail: u64) -> Option<usize> {
+    let last = words.len().checked_sub(1)?;
+    words.iter().enumerate().find_map(|(k, &w)| {
+        let w = if value { w } else { !w };
+        let w = if k == last { w & tail } else { w };
+        (w != 0).then(|| k * 64 + w.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -401,6 +484,44 @@ y = OR(a, b, c, d)
         assert_eq!(chunked.samples(), full.samples());
         assert_eq!(chunked.rare_at_one(), full.rare_at_one());
         assert_eq!(chunked.rare_at_zero(), full.rare_at_zero());
+        assert_eq!(chunked.witnesses(), full.witnesses());
+
+        // A planted first fire in the second 2048-pattern chunk: the
+        // chunked path must offset its witness by the chunk start.
+        let mut planted = PatternSet::zeros(4, 5_000);
+        for input in 0..4 {
+            planted.set(input, 3_000, true);
+        }
+        let full = ex.extract(&nl, &planted).unwrap();
+        let (chunked, _) = ex.extract_budgeted(&nl, &planted, &budget).unwrap();
+        assert_eq!(chunked.rare_at_one(), full.rare_at_one());
+        assert_eq!(chunked.witnesses(), full.witnesses());
+        let y = full.get(nl.find("y").unwrap()).unwrap();
+        assert_eq!(y.witness, Some(0));
+        assert_eq!(full.witnesses().pattern(0), vec![true; 4]);
+    }
+
+    #[test]
+    fn witness_is_the_first_firing_pattern() {
+        let nl = bench::parse(TREE, "t").unwrap();
+        let ps = PatternSet::random(4, 10_000, 11);
+        let rare = RareNodeExtractor::new(0.20).extract(&nl, &ps).unwrap();
+        let first = (0..ps.len())
+            .find(|&p| ps.pattern(p).iter().all(|&b| b))
+            .expect("y fires");
+        let y = rare.get(nl.find("y").unwrap()).unwrap();
+        // y is the only rare node, so its witness is the only column.
+        assert_eq!(rare.len(), 1);
+        assert_eq!(y.witness, Some(0));
+        assert_eq!(rare.witnesses().len(), 1);
+        assert_eq!(rare.witnesses().pattern(0), ps.pattern(first));
+        // Never-firing events have no witness: y is rare at 1 but never
+        // fires on all-zero patterns.
+        let zeros = PatternSet::zeros(4, 100);
+        let rare = RareNodeExtractor::new(0.20).extract(&nl, &zeros).unwrap();
+        let y = rare.get(nl.find("y").unwrap()).unwrap();
+        assert_eq!((y.count, y.witness), (0, None));
+        assert!(rare.witnesses().is_empty());
     }
 
     #[test]
