@@ -8,7 +8,7 @@
 //!   and of the compiled [`SimProgram`] kernel over 16 384 random
 //!   patterns.
 //! * **Small batch** — one 64-pattern (1-word) run per circuit, the
-//!   regime of MERO refinement, cube checks and the sequential stepper.
+//!   regime of MERO refinement and cube checks.
 //! * **MERO refinement** — `generate_tests` (compile per call) vs
 //!   `generate_tests_with_sim` (one shared compiled tape) end to end on
 //!   c2670.

@@ -19,8 +19,22 @@ use crate::compat::CompatGraph;
 use crate::error::InsertionError;
 use crate::insert::{insert_trojan_with, TrojanInstance};
 use crate::payload::{choose_payload, PayloadKind, PayloadStrategy};
-use crate::profile::PhaseProfileStore;
 use crate::trigger::TriggerPlan;
+
+/// The budgeted phases, in stage order. (Preprocess and validation run
+/// outside the staged split: the former is sub-millisecond, the latter
+/// is never skipped under pressure.)
+pub const STAGED_PHASES: [&str; 4] = [
+    "rare_extraction",
+    "compat_graph",
+    "clique_enumeration",
+    "insertion",
+];
+
+/// How [`InsertionFramework::run_with_budget`] splits its deadline over
+/// [`STAGED_PHASES`]: 25 % rare, 70 % of the remainder compat, 60 % of
+/// that remainder clique.
+pub const DEFAULT_STAGE_WEIGHTS: [f64; 4] = [0.25, 0.52, 0.14, 0.09];
 
 /// User-facing configuration of the framework — the paper's inputs:
 /// rareness threshold `θ_RN`, vector-set size `|V|`, trigger-node count
@@ -223,16 +237,11 @@ impl InsertionFramework {
         budget
             .check()
             .map_err(|_| budget_error(budget, "preprocess"))?;
-        // Staged split over rare / compat / clique / insertion. Weights
-        // come from the per-circuit-class profile store: an unprofiled
-        // class gets the historical static chain (25% rare, 70% of the
-        // remainder compat, 60% of that remainder clique); once this
-        // class has completed runs, the split tracks its measured phase
-        // costs. Either way a phase finishing early donates its slack
-        // to every later phase (each stage takes w_i / Σ_{j≥i} w_j of
-        // the time remaining at the moment it starts).
-        let stage_weights = PhaseProfileStore::global().stage_weights(nl.name());
-        let mut stages = budget.staged(&stage_weights);
+        // Staged split over rare / compat / clique / insertion. A phase
+        // finishing early donates its slack to every later phase (each
+        // stage takes w_i / Σ_{j≥i} w_j of the time remaining at the
+        // moment it starts).
+        let mut stages = budget.staged(&DEFAULT_STAGE_WEIGHTS);
 
         // Phase 0: combinational model.
         let t0 = htforge_obs::span("preprocess");
@@ -439,10 +448,6 @@ impl InsertionFramework {
             edges: graph.edge_count(),
             cliques: cliques.len(),
         };
-        // Feed the measured phase costs back into the profile store so
-        // the next run of this circuit class splits its budget by what
-        // the class actually costs instead of the static default.
-        PhaseProfileStore::global().record(nl.name(), &timings);
         Ok(InsertionOutcome {
             infected,
             rare_nodes: rare,

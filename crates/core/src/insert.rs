@@ -159,25 +159,6 @@ pub fn insert_trojan_with(
     ))
 }
 
-/// Convenience: validates that inserting over `payload_net` keeps the
-/// netlist acyclic *before* attempting the insertion.
-///
-/// # Errors
-///
-/// Returns [`InsertionError::NoPayloadNet`] when the net is unsafe.
-pub fn check_payload_safe(
-    nl: &Netlist,
-    trigger_nodes: &[NodeId],
-    payload_net: NodeId,
-) -> Result<(), InsertionError> {
-    let candidates = crate::payload::safe_payload_candidates(nl, trigger_nodes);
-    if candidates.contains(&payload_net) {
-        Ok(())
-    } else {
-        Err(InsertionError::NoPayloadNet)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,19 +284,5 @@ o = XOR(a1, b1)
                 }
             }
         }
-    }
-
-    #[test]
-    fn check_payload_safe_rejects_upstream() {
-        let nl = bench::parse(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ng = AND(a, b)\ny = NOT(g)\n",
-            "t",
-        )
-        .unwrap();
-        let y = nl.find("y").unwrap();
-        let g = nl.find("g").unwrap();
-        // Trigger taps y; g feeds y → unsafe.
-        assert!(check_payload_safe(&nl, &[y], g).is_err());
-        assert!(check_payload_safe(&nl, &[g], y).is_ok());
     }
 }

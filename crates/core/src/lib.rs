@@ -48,8 +48,6 @@ pub mod error;
 pub mod framework;
 pub mod insert;
 pub mod payload;
-pub mod profile;
-pub mod sequential_trigger;
 pub mod trigger;
 
 pub use clique::{enumerate_cliques, Clique};
@@ -57,11 +55,8 @@ pub use compat::{CompatGraph, RareEvent};
 pub use error::InsertionError;
 pub use framework::{
     InfectedDesign, InsertionConfig, InsertionFramework, InsertionOutcome, PhaseTimings,
+    DEFAULT_STAGE_WEIGHTS, STAGED_PHASES,
 };
 pub use insert::TrojanInstance;
 pub use payload::{PayloadKind, PayloadStrategy};
-pub use profile::{PhaseProfileStore, DEFAULT_STAGE_WEIGHTS, STAGED_PHASES};
-pub use sequential_trigger::{
-    insert_sequential_trojan, SequentialInfectedDesign, SequentialTrojan,
-};
 pub use trigger::TriggerPlan;

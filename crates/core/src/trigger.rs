@@ -237,18 +237,6 @@ impl TriggerPlan {
             PlanSignal::Gate(g) => values[g],
         }
     }
-
-    /// The theoretical activation probability of the trigger under
-    /// independent rare-node probabilities `probs` (one per leaf).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs.len()` differs from the leaf count.
-    #[must_use]
-    pub fn activation_probability(&self, probs: &[f64]) -> f64 {
-        assert_eq!(probs.len(), self.num_leaves(), "probability count mismatch");
-        probs.iter().product()
-    }
 }
 
 #[cfg(test)]
@@ -356,13 +344,6 @@ mod tests {
         leaves[7] = !leaves[7];
         leaves[124] = !leaves[124];
         assert!(!plan.eval(&leaves));
-    }
-
-    #[test]
-    fn activation_probability_is_product() {
-        let plan = TriggerPlan::synthesize(&[true, false, true], 2);
-        let p = plan.activation_probability(&[0.1, 0.2, 0.05]);
-        assert!((p - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -16,24 +16,15 @@
 //!   test set,
 //! * **Detection Coverage (DC)** — trojans whose effect additionally
 //!   corrupts a primary output (`DC ⊆ TC`).
-//!
-//! Sequential ("time-bomb") trojans are graded by [`sequential`]:
-//! multi-cycle random functional campaigns on the batched 64-traces-
-//! per-word simulation path, with per-trace trigger-activation and
-//! detection latency statistics.
 
 pub mod coverage;
 pub mod mero;
 pub mod ndatpg;
 pub mod random;
 pub mod scheme;
-pub mod sequential;
 
 pub use coverage::{evaluate_designs, CoverageEvaluator, CoverageReport, DesignVerdict};
 pub use mero::MeroDetection;
 pub use ndatpg::NdAtpgDetection;
 pub use random::RandomDetection;
 pub use scheme::DetectionScheme;
-pub use sequential::{
-    evaluate_sequential_designs, SequentialCampaign, SequentialCoverageReport, SequentialVerdict,
-};

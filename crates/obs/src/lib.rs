@@ -25,7 +25,7 @@
 //!   `htforge.job_timeline/v1` / `htforge.job_progress/v1` schema
 //!   trio validated like run reports.
 //! * **Resilience substrate** ([`RunBudget`], [`DegradationNote`],
-//!   [`faultpoint!`], [`isolate`]) — cooperative deadlines and
+//!   [`faultpoint!`], [`isolate()`]) — cooperative deadlines and
 //!   cancellation, structured degradation records, named
 //!   fault-injection points (`HTFORGE_FAULT`) and panic isolation for
 //!   campaign drivers (see `DESIGN.md` §9).

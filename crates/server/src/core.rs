@@ -4,7 +4,7 @@
 //! the existing kernel thread path. Every accepted job gets **exactly
 //! one terminal [`Response::Result`]** — done, failed, cancelled or
 //! timeout — no matter what happens in between: executor panics are
-//! caught by [`isolate`], budget trips map to `cancelled`/`timeout`,
+//! caught by [`isolate()`], budget trips map to `cancelled`/`timeout`,
 //! and an injected `server.respond` fault degrades the response body
 //! through a fallback path that bypasses the faultpoint. The chaos and
 //! concurrency suites count on that invariant ("zero lost jobs").
@@ -22,7 +22,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use htforge_core::{PhaseProfileStore, STAGED_PHASES};
+use htforge_core::{DEFAULT_STAGE_WEIGHTS, STAGED_PHASES};
 use htforge_obs::faultpoint;
 use htforge_obs::{
     install_span_hook, isolate, metrics_snapshot_json, CancelToken, JobTimeline, Json, RunBudget,
@@ -810,14 +810,12 @@ impl Core {
 
     /// The `metrics` introspection body: a full
     /// `htforge.metrics_snapshot/v1` of the process-wide recorder
-    /// (per-class latency histograms included), the staged-budget
-    /// profile store, and event-ring statistics when a ring is
-    /// installed.
+    /// (per-class latency histograms included), the journal, and
+    /// event-ring statistics when a ring is installed.
     fn metrics_body(&self) -> Json {
         let snapshot = htforge_obs::global().snapshot();
         let mut fields = vec![
             ("snapshot", metrics_snapshot_json(&snapshot)),
-            ("budget_profiles", PhaseProfileStore::global().to_json()),
             ("journal", self.journal_body()),
         ];
         if let Some(ring) = htforge_obs::global().ring() {
@@ -1034,22 +1032,18 @@ impl Core {
     }
 
     /// The progress emitter for one popped job: live when the config
-    /// streams progress, inert otherwise. Staged-budget weights come
-    /// from the job's circuit-class profile so phase ETAs match the
-    /// split the framework will actually use.
+    /// streams progress, inert otherwise. Phase ETAs use the same
+    /// staged-budget split as the framework.
     fn emitter_for(&self, q: &QueuedJob) -> ProgressEmitter {
         if !self.progress_enabled {
             return ProgressEmitter::disabled();
         }
         let weights = match q.spec.kind {
-            JobKind::Insert | JobKind::Detect => {
-                let class = q.spec.circuit.label();
-                STAGED_PHASES
-                    .iter()
-                    .map(|p| (*p).to_owned())
-                    .zip(PhaseProfileStore::global().stage_weights(&class))
-                    .collect()
-            }
+            JobKind::Insert | JobKind::Detect => STAGED_PHASES
+                .iter()
+                .map(|p| (*p).to_owned())
+                .zip(DEFAULT_STAGE_WEIGHTS)
+                .collect(),
             JobKind::Simulate | JobKind::Grade => Vec::new(),
         };
         let Some(tx) = self.session_sender(q.session) else {

@@ -5,7 +5,7 @@
 //! worker's span hook, so pipeline phases observed inside the insertion
 //! framework stream out live without the framework knowing about the
 //! server. Emission is **best-effort by construction**: every frame
-//! passes through the `server.progress` faultpoint inside [`isolate`],
+//! passes through the `server.progress` faultpoint inside [`isolate()`],
 //! and any injected fault (or panic) drops *that frame* — counted in
 //! `server.progress_dropped` — while the job and its terminal response
 //! proceed untouched. The exactly-one-terminal-response invariant never
@@ -118,7 +118,7 @@ impl ProgressEmitter {
     }
 
     /// Streams a percent-done frame, rate-limited to one per
-    /// [`PERCENT_INTERVAL`] (the first window opens at construction);
+    /// `PERCENT_INTERVAL` (the first window opens at construction);
     /// the ETA extrapolates the job's own elapsed time.
     /// `percent == 100` always goes out (completion edge).
     pub fn percent(&self, phase: &str, percent: f64) {

@@ -467,13 +467,12 @@ mod tests {
             Some(trace)
         );
         // The metrics introspection line embeds a schema-valid
-        // snapshot plus the budget profile store.
+        // snapshot.
         let metrics_doc = docs
             .iter()
             .find(|d| type_of(d) == "metrics")
             .expect("a metrics response");
         htforge_obs::validate_metrics_snapshot(metrics_doc.get("snapshot").unwrap()).unwrap();
-        assert!(metrics_doc.get("budget_profiles").is_some());
     }
 
     #[test]

@@ -7,12 +7,7 @@
 //! * [`program`] — the compiled simulation kernel every caller runs on,
 //! * [`simulator`] — 64-way bit-parallel 2-valued simulation,
 //! * [`tri`] — three-valued (0/1/X) logic and cube simulation,
-//! * [`rare`] — **rare-node extraction, paper Algorithm 1**,
-//! * [`sequential`] — cycle-accurate (non-scan) simulation for
-//!   sequential trojans,
-//! * [`seq_batch`] — batched sequential stepping: 64 independent
-//!   functional traces per machine word, with per-trace first-fire-cycle
-//!   extraction for trigger/detection latency statistics.
+//! * [`rare`] — **rare-node extraction, paper Algorithm 1**.
 //!
 //! # Examples
 //!
@@ -36,15 +31,11 @@
 pub mod patterns;
 pub mod program;
 pub mod rare;
-pub mod seq_batch;
-pub mod sequential;
 pub mod simulator;
 pub mod tri;
 
 pub use patterns::PatternSet;
 pub use program::SimProgram;
 pub use rare::{RareNode, RareNodeExtractor, RareNodeSet};
-pub use seq_batch::{BatchedSequentialSimulator, FirstFireMonitor};
-pub use sequential::{CycleSnapshot, SequentialSimulator};
 pub use simulator::{NodeValues, Simulator};
 pub use tri::Tri;

@@ -88,42 +88,6 @@ impl PatternSet {
         ps
     }
 
-    /// Creates `len` copies of one vector: pattern `p` equals `vector`
-    /// for every `p`. This is how the batched sequential stepper applies
-    /// a single stimulus to all traces at once — each input column is a
-    /// broadcast word (`0` or all-ones, tail-masked), built without
-    /// touching individual bits.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use htforge_sim::PatternSet;
-    ///
-    /// let ps = PatternSet::broadcast(&[true, false], 70);
-    /// assert!(ps.get(0, 69) && !ps.get(1, 69));
-    /// ```
-    #[must_use]
-    pub fn broadcast(vector: &[bool], len: usize) -> Self {
-        let words = Self::words_for(len);
-        let mask = Self::tail_mask(len);
-        let bits = vector
-            .iter()
-            .map(|&bit| {
-                let fill = if bit { u64::MAX } else { 0 };
-                let mut column = vec![fill; words];
-                if let Some(last) = column.last_mut() {
-                    *last &= mask;
-                }
-                column
-            })
-            .collect();
-        PatternSet {
-            num_inputs: vector.len(),
-            len,
-            bits,
-        }
-    }
-
     /// Builds a pattern set from explicit vectors; each inner slice is one
     /// pattern with one `bool` per input.
     ///
@@ -226,10 +190,8 @@ impl PatternSet {
     }
 
     /// Overwrites one input column with pre-packed words (tail bits are
-    /// masked). This is the feedback path of the batched sequential
-    /// stepper: next-cycle DFF state columns are D-driver columns copied
-    /// straight out of [`NodeValues`](crate::NodeValues), no per-bit
-    /// unpacking.
+    /// masked). Rare-node profiling cuts its vector set into chunks this
+    /// way, copying word slices instead of unpacking bits.
     ///
     /// # Panics
     ///
@@ -301,12 +263,11 @@ impl PatternSet {
         let new_len = old_len + other.len;
         let words = Self::words_for(new_len);
         let shift = old_len % 64;
-        // Defensive tail masks, `FirstFireMonitor::observe` style: the
-        // splice below must stay correct even if a buffer-reuse path
-        // left stale bits above either set's tail (the OR would smear
-        // them into the appended patterns — a latent corruption that
-        // only bites at 64k ± 1 boundaries). One AND per column is
-        // noise next to the copy.
+        // Defensive tail masks: the splice below must stay correct even
+        // if a buffer-reuse path left stale bits above either set's tail
+        // (the OR would smear them into the appended patterns — a latent
+        // corruption that only bites at 64k ± 1 boundaries). One AND per
+        // column is noise next to the copy.
         let src_tail = Self::tail_mask(other.len);
         let dst_tail = Self::tail_mask(old_len);
         for (input_bits, src) in self.bits.iter_mut().zip(&other.bits) {
@@ -611,21 +572,6 @@ mod tests {
     fn get_out_of_range_panics() {
         let ps = PatternSet::zeros(1, 10);
         let _ = ps.get(0, 10);
-    }
-
-    #[test]
-    fn broadcast_replicates_and_masks() {
-        let ps = PatternSet::broadcast(&[true, false, true], 70);
-        assert_eq!(ps.len(), 70);
-        assert_eq!(ps.num_inputs(), 3);
-        for p in [0, 63, 64, 69] {
-            assert_eq!(ps.pattern(p), vec![true, false, true]);
-        }
-        // Tail bits beyond pattern 69 must be zero even for the `true`
-        // columns, so popcounts stay exact.
-        assert_eq!(ps.input_words(0)[1] >> 6, 0);
-        let ones: u32 = ps.input_words(0).iter().map(|w| w.count_ones()).sum();
-        assert_eq!(ones, 70);
     }
 
     #[test]

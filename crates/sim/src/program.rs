@@ -8,7 +8,7 @@
 //! * **SoA layout, no per-gate allocation.** The tape is four parallel
 //!   arrays — opcode, destination, fanin offset, and one contiguous
 //!   fanin-index pool — so the inner loop is a linear scan with no enum
-//!   dispatch over [`NodeKind`](htforge_netlist::NodeKind), no `Vec`
+//!   dispatch over [`htforge_netlist::NodeKind`], no `Vec`
 //!   scratch per gate, and specialized opcodes for the 1- and 2-input
 //!   gates that dominate real netlists.
 //! * **64 patterns per word.** Values are packed 64 patterns per word
@@ -21,7 +21,7 @@
 //! campaigns — not inside one evaluation (see `DESIGN.md` §5 for the
 //! measurements behind that choice). Output is bit-identical to the
 //! gate-at-a-time scalar oracle — proven per node and pattern by
-//! `tests/differential_sim.rs` and `tests/differential_seq.rs`.
+//! `tests/differential_sim.rs`.
 //!
 //! The public [`crate::simulator::Simulator`] API is a thin wrapper over
 //! this kernel, so every caller — rare-node extraction, signal

@@ -72,12 +72,6 @@ impl NodeValues {
             .map(|w| u64::from(w.count_ones()))
             .sum()
     }
-
-    /// Number of patterns in which `node` is 0.
-    #[must_use]
-    pub fn count_zeros(&self, node: NodeId) -> u64 {
-        self.len as u64 - self.count_ones(node)
-    }
 }
 
 /// A levelized bit-parallel simulator bound to one netlist.
@@ -145,7 +139,7 @@ impl Simulator {
     }
 }
 
-/// A simulator that shares ownership of its netlist (via [`Arc`]), for
+/// A simulator that shares ownership of its netlist (via [`Arc`](std::sync::Arc)), for
 /// ergonomic repeated runs. [`BoundSimulator::new`] pays one netlist
 /// clone to take ownership; [`BoundSimulator::from_arc`] pays none —
 /// large-circuit campaigns that already hold an `Arc<Netlist>` get a
@@ -197,12 +191,6 @@ impl BoundSimulator {
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
         &self.nl
-    }
-
-    /// A shared handle to the netlist (cheap to clone).
-    #[must_use]
-    pub fn netlist_arc(&self) -> std::sync::Arc<Netlist> {
-        std::sync::Arc::clone(&self.nl)
     }
 
     /// Simulates `patterns`.
@@ -277,7 +265,6 @@ OUTPUT(23)
         let vals = sim.run(&ps);
         let y = nl.find("y").unwrap();
         assert_eq!(vals.count_ones(y), 35);
-        assert_eq!(vals.count_zeros(y), 35);
     }
 
     #[test]

@@ -18,12 +18,13 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use htforge::atpg::{all_faults, fault_simulate, PodemConfig};
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadKind};
 use htforge::detect::{DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection};
 use htforge::netlist::{bench, verilog, AreaModel, Netlist};
-use htforge::obs::RunBudget;
+use htforge::obs::{CancelToken, RunBudget};
 use htforge::sim::{PatternSet, RareNodeExtractor};
 
 const USAGE: &str = "\
@@ -108,6 +109,17 @@ impl Options {
     }
 }
 
+/// `--theta`, checked here so an out-of-range value is a usage error
+/// rather than the rare-node extractor's precondition panic.
+fn theta(opts: &Options) -> Result<f64, String> {
+    let theta: f64 = opts.number("theta", 0.20)?;
+    if (0.0..=1.0).contains(&theta) {
+        Ok(theta)
+    } else {
+        Err(format!("--theta must be in [0, 1], got {theta}"))
+    }
+}
+
 fn load_netlist(spec: &str) -> Result<Netlist, Box<dyn Error>> {
     let path = Path::new(spec);
     if path.exists() {
@@ -149,7 +161,7 @@ fn cmd_stats(spec: &str) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_rare(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
-    let theta: f64 = opts.number("theta", 0.20)?;
+    let theta = theta(opts)?;
     let vectors: usize = opts.number("vectors", 10_000)?;
     let nl = load_netlist(spec)?;
     let comb = if nl.dffs().is_empty() {
@@ -183,8 +195,11 @@ fn cmd_rare(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
 
 fn cmd_insert(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let q: usize = opts.number("q", 8)?;
+    if q == 0 {
+        return Err("--q must be at least 1".into());
+    }
     let n: usize = opts.number("n", 1)?;
-    let theta: f64 = opts.number("theta", 0.20)?;
+    let theta = theta(opts)?;
     let vectors: usize = opts.number("vectors", 10_000)?;
     let out_dir: PathBuf = opts.get("out").unwrap_or("htforge-out").into();
     let payload_kind = match opts.get("payload").unwrap_or("flip") {
@@ -199,10 +214,13 @@ fn cmd_insert(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
             let secs: f64 = v
                 .parse()
                 .map_err(|e| format!("invalid value for --deadline: {e}"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err("--deadline must be a non-negative number of seconds".into());
-            }
-            RunBudget::with_deadline(std::time::Duration::from_secs_f64(secs))
+            // Both conversions can overflow: a huge float has no
+            // `Duration`, a huge `Duration` no `Instant`.
+            let deadline = Duration::try_from_secs_f64(secs)
+                .ok()
+                .and_then(|limit| Instant::now().checked_add(limit))
+                .ok_or("--deadline must be a non-negative number of seconds within range")?;
+            RunBudget::new(Some(deadline), CancelToken::new())
         }
     };
 
