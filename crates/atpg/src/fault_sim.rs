@@ -18,12 +18,6 @@ pub struct FaultSimReport {
 }
 
 impl FaultSimReport {
-    /// Per-fault detection flags, in the order the faults were given.
-    #[must_use]
-    pub fn detected_flags(&self) -> &[bool] {
-        &self.detected
-    }
-
     /// Number of detected faults.
     #[must_use]
     pub fn detected(&self) -> usize {

@@ -18,8 +18,6 @@
 //! that already drives the node to the wanted value
 //! ([`Podem::generate_witnessed`]); it then never backtracks.
 
-use std::time::{Duration, Instant};
-
 use htforge_obs::{BudgetTicker, RunBudget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,16 +51,6 @@ pub struct PodemConfig {
     /// instead of SCOAP-guided, yielding *different* cubes per seed — the
     /// mechanism behind [`crate::ndetect`].
     pub random_seed: Option<u64>,
-    /// Optional per-fault wall-clock budget. When set, the search gives
-    /// up with [`TestResult::TimedOut`] once past the deadline — instead
-    /// of silently burning the whole backtrack limit on one pathological
-    /// fault. The deadline is checked at every backtrack *and*,
-    /// amortized (every 1024 events), inside the implication and
-    /// D-frontier loops, so faults with huge cones but few backtracks
-    /// cannot overshoot the budget arbitrarily. Hits are counted on the
-    /// `podem.timeouts` observability counter and surfaced in the
-    /// result, so campaigns can report them.
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for PodemConfig {
@@ -71,7 +59,6 @@ impl Default for PodemConfig {
             mode: PodemMode::Detect,
             backtrack_limit: 5_000,
             random_seed: None,
-            time_budget: None,
         }
     }
 }
@@ -97,8 +84,8 @@ pub enum TestResult {
     Untestable,
     /// The backtrack limit was hit before a verdict.
     Aborted,
-    /// The per-fault [`PodemConfig::time_budget`] expired before a
-    /// verdict.
+    /// The run budget (see [`Podem::set_run_budget`]) expired or was
+    /// cancelled before a verdict.
     TimedOut,
 }
 
@@ -195,8 +182,7 @@ pub struct Podem {
     last_backtracks: usize,
     metrics: PodemMetrics,
     /// Run-level budget (deadline + cancellation) shared with the
-    /// surrounding pipeline; combined with the per-fault `time_budget`
-    /// into one effective deadline per search.
+    /// surrounding pipeline.
     run_budget: RunBudget,
 }
 
@@ -259,9 +245,14 @@ impl Podem {
     }
 
     /// Attaches a run-level budget: every subsequent [`Podem::generate`]
-    /// call respects the budget's deadline and cancellation token in
-    /// addition to the per-fault [`PodemConfig::time_budget`]. Both
-    /// kinds of expiry surface as [`TestResult::TimedOut`].
+    /// call gives up with [`TestResult::TimedOut`] once the budget's
+    /// deadline passes or its token is cancelled — instead of silently
+    /// burning the whole backtrack limit on one pathological fault. The
+    /// deadline is checked at every backtrack *and*, amortized (every
+    /// 1024 events), inside the implication and D-frontier loops, so
+    /// faults with huge cones but few backtracks cannot overshoot it
+    /// arbitrarily. Hits are counted on the `podem.timeouts`
+    /// observability counter.
     pub fn set_run_budget(&mut self, budget: RunBudget) {
         self.run_budget = budget;
     }
@@ -352,23 +343,6 @@ impl Podem {
         result
     }
 
-    /// Combines the per-fault `time_budget` with the run-level budget
-    /// into one ticker for this search.
-    fn search_ticker(&self) -> BudgetTicker {
-        let fault_deadline = self
-            .config
-            .time_budget
-            .map(|budget| Instant::now() + budget);
-        let deadline = match (fault_deadline, self.run_budget.deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        BudgetTicker::new(
-            RunBudget::new(deadline, self.run_budget.cancel_token()),
-            1024,
-        )
-    }
-
     fn search(
         &mut self,
         fault: Fault,
@@ -377,7 +351,7 @@ impl Podem {
     ) -> TestResult {
         self.reset();
         let mut decisions: Vec<Decision> = Vec::new();
-        let mut ticker = self.search_ticker();
+        let mut ticker = BudgetTicker::new(self.run_budget.clone(), 1024);
         // Cancellation is checked up front: short searches may finish
         // inside one amortization window and must still honour it.
         if self.run_budget.cancelled() {
@@ -729,6 +703,7 @@ mod tests {
     use super::*;
     use htforge_netlist::bench;
     use htforge_sim::tri::{justifies, simulate_tri};
+    use std::time::Duration;
 
     const C17: &str = "\
 INPUT(1)
@@ -905,28 +880,22 @@ OUTPUT(23)
     }
 
     #[test]
-    fn zero_time_budget_reports_timeout() {
+    fn expired_run_budget_reports_timeout() {
         // The redundant fault below needs at least one backtrack to be
-        // proven untestable, so a zero budget must trip first.
+        // proven untestable, so an expired budget must trip first.
         let src = "INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = OR(a, na)\n";
         let nl = bench::parse(src, "t").unwrap();
         let y = nl.find("y").unwrap();
-        let cfg = PodemConfig {
-            time_budget: Some(Duration::ZERO),
-            ..PodemConfig::default()
-        };
-        let mut podem = Podem::new(&nl, cfg).unwrap();
+        let mut podem = Podem::new(&nl, PodemConfig::default()).unwrap();
+        podem.set_run_budget(RunBudget::with_deadline(Duration::ZERO));
         assert_eq!(
             podem.generate(Fault::stuck_at(y, true)),
             TestResult::TimedOut
         );
         // A generous budget changes nothing for testable faults.
-        let cfg = PodemConfig {
-            time_budget: Some(Duration::from_secs(60)),
-            ..PodemConfig::default()
-        };
         let nl17 = bench::parse(C17, "c17").unwrap();
-        let mut podem = Podem::new(&nl17, cfg).unwrap();
+        let mut podem = Podem::new(&nl17, PodemConfig::default()).unwrap();
+        podem.set_run_budget(RunBudget::with_deadline(Duration::from_secs(60)));
         let g16 = nl17.find("16").unwrap();
         assert!(podem.generate(Fault::stuck_at(g16, false)).is_test());
     }
@@ -950,11 +919,8 @@ OUTPUT(23)
         let mut podem = Podem::new(&nl, PodemConfig::justify()).unwrap();
         assert!(podem.generate(Fault::for_rare_event(y, true)).is_test());
 
-        let cfg = PodemConfig {
-            time_budget: Some(Duration::ZERO),
-            ..PodemConfig::justify()
-        };
-        let mut podem = Podem::new(&nl, cfg).unwrap();
+        let mut podem = Podem::new(&nl, PodemConfig::justify()).unwrap();
+        podem.set_run_budget(RunBudget::with_deadline(Duration::ZERO));
         assert_eq!(
             podem.generate(Fault::for_rare_event(y, true)),
             TestResult::TimedOut

@@ -38,7 +38,6 @@ pub struct NdAtpgDetection {
     /// N-detect target: distinct cubes requested per rare event.
     n: usize,
     seed: u64,
-    podem: PodemConfig,
 }
 
 impl NdAtpgDetection {
@@ -50,19 +49,7 @@ impl NdAtpgDetection {
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n > 0, "N-detect target must be positive");
-        NdAtpgDetection {
-            n,
-            seed,
-            podem: PodemConfig::default(),
-        }
-    }
-
-    /// Overrides the PODEM configuration (e.g. a tighter backtrack limit
-    /// for very large circuits).
-    #[must_use]
-    pub fn with_podem(mut self, podem: PodemConfig) -> Self {
-        self.podem = podem;
-        self
+        NdAtpgDetection { n, seed }
     }
 }
 
@@ -85,7 +72,7 @@ impl DetectionScheme for NdAtpgDetection {
                 golden,
                 fault,
                 self.n,
-                self.podem,
+                PodemConfig::default(),
                 self.seed.wrapping_add(k as u64),
             )?;
             for cube in cubes {

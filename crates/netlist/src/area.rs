@@ -74,12 +74,6 @@ impl AreaModel {
         self.base[pos] + extra * self.per_extra_input
     }
 
-    /// Area of one DFF, in µm².
-    #[must_use]
-    pub fn dff_area(&self) -> f64 {
-        self.dff
-    }
-
     /// Total cell area of a netlist, in µm² (inputs are free).
     #[must_use]
     pub fn netlist_area(&self, nl: &Netlist) -> f64 {

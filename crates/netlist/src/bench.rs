@@ -24,7 +24,6 @@
 //! whose D input is never defined is a structured
 //! [`NetlistError::UndefinedSignal`], never a panic.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
@@ -369,13 +368,6 @@ pub fn stats(nl: &Netlist) -> NetlistStats {
         dffs: nl.dffs().len(),
         nodes: nl.node_count(),
     }
-}
-
-/// Builds an index from signal name to [`NodeId`] (convenience for tools
-/// that need many lookups).
-#[must_use]
-pub fn name_index(nl: &Netlist) -> HashMap<String, NodeId> {
-    nl.iter().map(|(id, n)| (n.name().to_owned(), id)).collect()
 }
 
 #[cfg(test)]

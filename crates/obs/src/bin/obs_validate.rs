@@ -4,8 +4,9 @@
 //!
 //! * `obs_validate <doc.json>...` — each file is one schema-tagged
 //!   document (`htforge.run_report/v1`, `htforge.metrics_snapshot/v1`,
-//!   `htforge.job_timeline/v1` or `htforge.job_progress/v1`), dispatched
-//!   on its `schema` field.
+//!   `htforge.job_timeline/v1`, `htforge.job_progress/v1`,
+//!   `htforge.server_journal/v1` or `htforge.netlist_scaling/v1`),
+//!   dispatched on its `schema` field.
 //! * `obs_validate --frames <session.jsonl>...` — each file is a
 //!   campaign-server JSONL session transcript; every embedded telemetry
 //!   frame (`progress` bodies, terminal `timeline`s, `metrics`

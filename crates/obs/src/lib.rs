@@ -10,16 +10,15 @@
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free
 //!   handles fetched once and updated from hot loops and scoped worker
 //!   threads.
-//! * **Sinks** ([`Sink`]) — event consumers: [`InMemorySink`] for
-//!   tests, [`JsonlSink`] for streaming, plus the end-of-run summary
+//! * **Sinks** ([`Sink`]) — completed-span consumers: [`InMemorySink`]
+//!   for tests, [`JsonlSink`] for streaming, plus the end-of-run summary
 //!   table ([`Recorder::render_summary`]).
 //! * **Run reports** ([`RunReport`]) — the `htforge.run_report/v1` JSON
 //!   artifact written per circuit by the benchmark binaries and
 //!   validated in CI by the `obs_validate` binary.
-//! * **Live telemetry plane** ([`TraceContext`], [`EventRing`],
-//!   [`frames`]) — stable trace ids that cross worker-pool dispatch
-//!   boundaries (adopt with [`Recorder::adopt_trace`]), a bounded
-//!   writer-never-blocks event ring sinks tail, per-thread span hooks
+//! * **Live telemetry plane** ([`TraceContext`], [`frames`]) — trace
+//!   ids that cross worker-pool dispatch boundaries (adopt with
+//!   [`Recorder::adopt_trace`]), per-thread span hooks
 //!   ([`install_span_hook`]) that stream phase progress even with the
 //!   recorder disabled, and the `htforge.metrics_snapshot/v1` /
 //!   `htforge.job_timeline/v1` / `htforge.job_progress/v1` schema
@@ -43,10 +42,10 @@
 //! let report = htforge_obs::RunReport::from_recorder("quickstart_c17", htforge_obs::global());
 //! ```
 //!
-//! `HTFORGE_OBS` is a comma-separated list of outputs: `jsonl` (event
-//! stream to `HTFORGE_OBS_FILE` or stderr), `summary` (table on exit via
-//! the returned [`ObsSession`] guard), `progress` (counter digest every
-//! few seconds). Any non-empty value also enables the recorder.
+//! `HTFORGE_OBS` is a comma-separated list of outputs: `jsonl` (one line
+//! per completed span, to `HTFORGE_OBS_FILE` or stderr) and `summary`
+//! (table on exit via the returned [`ObsSession`] guard). Any non-empty
+//! value also enables the recorder.
 
 pub mod budget;
 pub mod faultpoint;
@@ -54,14 +53,11 @@ pub mod frames;
 pub mod isolate;
 pub mod json;
 pub mod metrics;
-pub mod progress;
 pub mod recorder;
 pub mod report;
-pub mod ring;
 pub mod table;
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
 pub use budget::{
     BudgetExceeded, BudgetTicker, CancelToken, DegradationNote, RunBudget, StagedBudget,
@@ -76,15 +72,13 @@ pub use frames::{
 pub use isolate::{isolate, panic_message};
 pub use json::{parse as parse_json, Json, ParseError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use progress::ProgressReporter;
 pub use recorder::{
-    install_span_hook, Event, InMemorySink, JsonlSink, MetricsSnapshot, Recorder, Sink, SpanEvent,
+    install_span_hook, InMemorySink, JsonlSink, MetricsSnapshot, Recorder, Sink, SpanEvent,
     SpanGuard, SpanHook, SpanHookGuard, SpanRecord, TraceContext, TraceGuard,
 };
 pub use report::{
     validate_json, validate_str, write_atomic, HistogramReport, RunReport, SpanEntry, SCHEMA,
 };
-pub use ring::{EventRing, RingTail};
 pub use table::Table;
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
@@ -125,18 +119,15 @@ pub fn histogram(name: &str) -> Histogram {
     global().histogram(name)
 }
 
-/// Drop guard returned by [`init_from_env`]: flushes sinks, stops the
-/// progress reporter and (when requested) prints the summary table on
-/// the way out.
+/// Drop guard returned by [`init_from_env`]: flushes sinks and (when
+/// requested) prints the summary table on the way out.
 #[derive(Debug)]
 pub struct ObsSession {
     print_summary: bool,
-    reporter: Option<ProgressReporter>,
 }
 
 impl Drop for ObsSession {
     fn drop(&mut self) {
-        self.reporter.take(); // stop + join before the final summary
         if self.print_summary {
             eprintln!("== observability summary ==");
             eprint!("{}", global().render_summary());
@@ -148,8 +139,8 @@ impl Drop for ObsSession {
 /// Configures the global recorder from `HTFORGE_OBS` /
 /// `HTFORGE_OBS_FILE` and returns a guard that flushes on drop.
 ///
-/// `HTFORGE_OBS` is a comma-separated list of `jsonl`, `summary`,
-/// `progress`; unknown entries are reported to stderr and skipped. When
+/// `HTFORGE_OBS` is a comma-separated list of `jsonl` and `summary`;
+/// unknown entries are reported to stderr and skipped. When
 /// the variable is unset or empty the recorder is left untouched (still
 /// usable — binaries may enable it themselves).
 #[must_use]
@@ -157,7 +148,6 @@ pub fn init_from_env() -> ObsSession {
     let spec = std::env::var("HTFORGE_OBS").unwrap_or_default();
     let mut session = ObsSession {
         print_summary: false,
-        reporter: None,
     };
     if spec.trim().is_empty() {
         return session;
@@ -179,13 +169,7 @@ pub fn init_from_env() -> ObsSession {
                 global().add_sink(Box::new(sink));
             }
             "summary" => session.print_summary = true,
-            "progress" => {
-                session.reporter = Some(ProgressReporter::start(
-                    global().clone(),
-                    Duration::from_secs(5),
-                ));
-            }
-            other => eprintln!("HTFORGE_OBS: unknown output `{other}` (jsonl, summary, progress)"),
+            other => eprintln!("HTFORGE_OBS: unknown output `{other}` (jsonl, summary)"),
         }
     }
     session

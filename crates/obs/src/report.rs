@@ -65,7 +65,8 @@ pub struct SpanEntry {
     pub start_us: f64,
     /// Duration in microseconds.
     pub dur_us: f64,
-    /// Key/value span attributes (e.g. the kernel's chosen strategy).
+    /// Key/value span attributes (e.g. the simulation kernel's `words`
+    /// and `host_threads`).
     /// Omitted from the JSON when empty.
     pub attrs: Vec<(String, String)>,
 }

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use htforge_obs::{parse_json, Event, InMemorySink, Json, JsonlSink, Recorder, RunReport};
+use htforge_obs::{parse_json, InMemorySink, Json, JsonlSink, Recorder, RunReport};
 
 /// A `Write` impl backed by a shared buffer, so the test can read what
 /// the JSONL sink wrote.
@@ -32,13 +32,15 @@ fn jsonl_sink_round_trips_through_the_parser() {
     rec.span("podem").finish();
     outer.finish();
     rec.counter("podem.backtracks").add(17);
-    rec.gauge("sim.kernel_words_per_sec").set(2.5e7);
-    rec.emit_snapshot();
     rec.flush();
 
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "two spans + one snapshot:\n{text}");
+    assert_eq!(
+        lines.len(),
+        2,
+        "one line per span, no metric lines:\n{text}"
+    );
 
     let docs: Vec<Json> = lines.iter().map(|l| parse_json(l).unwrap()).collect();
     assert_eq!(docs[0].get("t").unwrap().as_str(), Some("span"));
@@ -48,26 +50,9 @@ fn jsonl_sink_round_trips_through_the_parser() {
         docs[0].get("parent").unwrap().as_u64(),
         docs[1].get("id").unwrap().as_u64()
     );
+    assert_eq!(docs[1].get("t").unwrap().as_str(), Some("span"));
     assert_eq!(docs[1].get("name").unwrap().as_str(), Some("compat_graph"));
-
-    let snap = &docs[2];
-    assert_eq!(snap.get("t").unwrap().as_str(), Some("snapshot"));
-    assert_eq!(
-        snap.get("counters")
-            .unwrap()
-            .get("podem.backtracks")
-            .unwrap()
-            .as_u64(),
-        Some(17)
-    );
-    assert_eq!(
-        snap.get("gauges")
-            .unwrap()
-            .get("sim.kernel_words_per_sec")
-            .unwrap()
-            .as_f64(),
-        Some(2.5e7)
-    );
+    assert_eq!(docs[1].get("parent"), Some(&Json::Null));
 }
 
 #[test]
@@ -146,9 +131,9 @@ fn sink_installed_mid_run_only_sees_later_events() {
     let sink = InMemorySink::new();
     rec.add_sink(Box::new(sink.clone()));
     rec.span("after").finish();
-    let events = sink.events();
-    assert_eq!(events.len(), 1);
-    assert!(matches!(&events[0], Event::Span(s) if s.name == "after"));
+    let spans = sink.spans();
+    assert_eq!(spans.len(), 1);
+    assert_eq!(spans[0].name, "after");
 }
 
 #[test]
@@ -160,6 +145,6 @@ fn disabled_spans_still_measure_time() {
     std::thread::sleep(Duration::from_millis(5));
     let dur = guard.finish();
     assert!(dur >= Duration::from_millis(5));
-    assert!(sink.events().is_empty());
+    assert!(sink.spans().is_empty());
     assert!(rec.spans().is_empty());
 }

@@ -810,25 +810,13 @@ impl Core {
 
     /// The `metrics` introspection body: a full
     /// `htforge.metrics_snapshot/v1` of the process-wide recorder
-    /// (per-class latency histograms included), the journal, and
-    /// event-ring statistics when a ring is installed.
+    /// (per-class latency histograms included) and the journal.
     fn metrics_body(&self) -> Json {
         let snapshot = htforge_obs::global().snapshot();
-        let mut fields = vec![
+        Json::obj(vec![
             ("snapshot", metrics_snapshot_json(&snapshot)),
             ("journal", self.journal_body()),
-        ];
-        if let Some(ring) = htforge_obs::global().ring() {
-            fields.push((
-                "ring",
-                Json::obj(vec![
-                    ("capacity", Json::Num(ring.capacity() as f64)),
-                    ("events", Json::Num(ring.head() as f64)),
-                    ("dropped", Json::Num(ring.dropped() as f64)),
-                ]),
-            ));
-        }
-        Json::obj(fields)
+        ])
     }
 
     /// Initiates shutdown. Idempotent; only the first call acks.

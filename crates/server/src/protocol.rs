@@ -220,8 +220,8 @@ pub enum Request {
     /// Report queue depth, in-flight count and cache statistics.
     Status,
     /// Full metrics introspection: a `htforge.metrics_snapshot/v1`
-    /// snapshot of every counter/gauge/histogram plus the per-class
-    /// staged-budget profiles and event-ring statistics.
+    /// snapshot of every counter/gauge/histogram plus the journal's
+    /// recovery and append statistics.
     Metrics,
     /// Stop the daemon: `drain` finishes all accepted jobs first,
     /// `drop` cancels queued jobs and finishes only the running ones.

@@ -467,12 +467,19 @@ mod tests {
             Some(trace)
         );
         // The metrics introspection line embeds a schema-valid
-        // snapshot.
+        // snapshot and the journal, nothing else.
         let metrics_doc = docs
             .iter()
             .find(|d| type_of(d) == "metrics")
             .expect("a metrics response");
         htforge_obs::validate_metrics_snapshot(metrics_doc.get("snapshot").unwrap()).unwrap();
+        let keys: Vec<&str> = metrics_doc
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["schema", "type", "snapshot", "journal"]);
     }
 
     #[test]

@@ -139,17 +139,15 @@ impl<'a> IntoIterator for &'a RareNodeSet {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RareNodeExtractor {
     theta: f64,
-    include_inputs: bool,
-    include_outputs: bool,
 }
 
 impl RareNodeExtractor {
     /// Creates an extractor with rareness threshold `theta` (a fraction of
     /// the vector-set size, e.g. `0.20` for the paper's 20 %).
     ///
-    /// Primary inputs are excluded by default (they are never rare under
+    /// Primary inputs are never candidates (they are never rare under
     /// uniform random vectors and are not usable trigger nodes anyway);
-    /// primary outputs are included, matching the paper's node counts.
+    /// primary outputs are, matching the paper's node counts.
     ///
     /// # Panics
     ///
@@ -157,31 +155,13 @@ impl RareNodeExtractor {
     #[must_use]
     pub fn new(theta: f64) -> Self {
         assert!((0.0..=1.0).contains(&theta), "theta must be in [0, 1]");
-        RareNodeExtractor {
-            theta,
-            include_inputs: false,
-            include_outputs: true,
-        }
+        RareNodeExtractor { theta }
     }
 
     /// The rareness threshold.
     #[must_use]
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Also consider primary inputs as rare-node candidates.
-    #[must_use]
-    pub fn with_inputs(mut self, include: bool) -> Self {
-        self.include_inputs = include;
-        self
-    }
-
-    /// Consider primary outputs as rare-node candidates (default `true`).
-    #[must_use]
-    pub fn with_outputs(mut self, include: bool) -> Self {
-        self.include_outputs = include;
-        self
     }
 
     /// Runs Algorithm 1: simulates `patterns` on `nl` and classifies each
@@ -287,12 +267,9 @@ impl RareNodeExtractor {
             return set;
         }
         for (i, (id, node)) in nl.iter().enumerate() {
-            match node.kind() {
-                NodeKind::Input if !self.include_inputs => continue,
-                NodeKind::Dff => continue, // Q of an uncut DFF is not simulated
-                _ => {}
-            }
-            if !self.include_outputs && nl.is_output(id) {
+            // Inputs are never candidates (see `new`); the Q of an uncut
+            // DFF is not simulated.
+            if matches!(node.kind(), NodeKind::Input | NodeKind::Dff) {
                 continue;
             }
             let ones = profile.ones[i];
@@ -441,17 +418,13 @@ y = OR(a, b, c, d)
     }
 
     #[test]
-    fn inputs_excluded_by_default_included_on_request() {
+    fn inputs_excluded_outputs_included() {
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n", "t").unwrap();
-        // All-zero patterns make `a` trivially "rare at 1".
+        // All-zero patterns make `a` (and the output `y`) "rare at 1".
         let ps = PatternSet::zeros(1, 100);
-        let without = RareNodeExtractor::new(0.2).extract(&nl, &ps).unwrap();
-        assert!(without.get(nl.find("a").unwrap()).is_none());
-        let with = RareNodeExtractor::new(0.2)
-            .with_inputs(true)
-            .extract(&nl, &ps)
-            .unwrap();
-        assert!(with.get(nl.find("a").unwrap()).is_some());
+        let rare = RareNodeExtractor::new(0.2).extract(&nl, &ps).unwrap();
+        assert!(rare.get(nl.find("a").unwrap()).is_none());
+        assert!(rare.get(nl.find("y").unwrap()).is_some());
     }
 
     #[test]

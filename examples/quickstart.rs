@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart [circuit] [q] [n]
 //! # e.g.
 //! cargo run --release --example quickstart c2670 12 3
-//! HTFORGE_OBS=jsonl cargo run --release --example quickstart  # event stream
+//! HTFORGE_OBS=jsonl cargo run --release --example quickstart  # span stream
 //! ```
 //!
 //! Always writes a `results/report_<circuit>.json` run report (schema

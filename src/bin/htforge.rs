@@ -448,8 +448,9 @@ fn run() -> Result<(), Box<dyn Error>> {
 }
 
 fn main() -> ExitCode {
-    // `HTFORGE_OBS=jsonl,summary,progress` lights up the recorder for
-    // any subcommand (DESIGN.md §8); the guard flushes sinks on exit.
+    // `HTFORGE_OBS=jsonl,summary` lights up the recorder for any
+    // subcommand (DESIGN.md §8): one JSONL line per completed span, and
+    // the summary table when the guard drops, after flushing sinks.
     let _obs = htforge::obs::init_from_env();
     match run() {
         Ok(()) => ExitCode::SUCCESS,

@@ -219,9 +219,6 @@ fn run() -> Result<(), String> {
 
 fn main() -> ExitCode {
     let _obs = htforge::obs::init_from_env();
-    // Bounded event ring: sinks and the `metrics` op can tail recent
-    // events without ever blocking a worker's hot path.
-    let _ = htforge::obs::global().install_ring(4096);
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
