@@ -95,7 +95,6 @@ fn main() {
             trigger_nodes: 8,
             num_instances: 10,
             seed: 5,
-            podem: PodemConfig::justify(),
             payload: strategy,
             ..InsertionConfig::default()
         })

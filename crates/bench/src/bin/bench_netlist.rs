@@ -2,12 +2,11 @@
 //! repository root.
 //!
 //! For each size in {10k, 100k, 1M} gates this builds a synthetic
-//! three-level hierarchical design (`leaf` blocks of combinational
-//! gates, `tile` modules chaining leaf instances, a top fanning out to
-//! many tiles), then walks the full industrial-scale pipeline:
+//! flat design (many parallel tiles, each a chain of combinational leaf
+//! blocks), then walks the full industrial-scale pipeline:
 //!
-//! 1. **flatten** — deterministic [`htforge_netlist::Design::flatten`]
-//!    of the hierarchy into one interned SoA [`Netlist`],
+//! 1. **build** — the design is built gate by gate into one interned
+//!    SoA [`Netlist`],
 //! 2. **parse** — the flat design is written to a `.bench` file on
 //!    disk, the in-memory netlist is dropped, and the file is re-read
 //!    through the streaming [`bench::parse_reader`] path (source text
@@ -30,7 +29,7 @@ use std::fmt::Write as _;
 use std::io::BufReader;
 use std::time::Instant;
 
-use htforge_netlist::{bench, Atom, Design, GateKind, ModuleId, Netlist, NodeKind};
+use htforge_netlist::{bench, GateKind, Netlist, NodeId};
 use htforge_sim::{PatternSet, RareNodeExtractor};
 
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netlist.json");
@@ -64,98 +63,62 @@ impl Shape {
     }
 }
 
-/// Builds the synthetic hierarchical design for `shape`.
+/// Builds the synthetic flat design for `shape`.
 ///
-/// The `leaf` module is a 4-in/4-out block of `leaf_gates` gates whose
-/// fan-ins scatter over all earlier signals (wide, shallow cones). A
-/// `tile` chains `leaves_per_tile` leaf instances. The top module fans
-/// 8 primary inputs out to `tiles` parallel tile instances with
-/// rotated port bindings and exposes every tile output, so depth stays
-/// constant across sizes and width carries the scaling.
-fn synth_design(shape: &Shape) -> (Design, ModuleId) {
-    let mut d = Design::new(format!("synth_{}g", shape.gates()));
-
-    // ---- leaf: 4 inputs, leaf_gates gates, last 4 outputs ----------
-    let leaf = d.add_module("leaf").expect("fresh module name");
-    let leaf_ins: Vec<Atom> = (0..4).map(|i| d.intern(&format!("i{i}"))).collect();
-    for &p in &leaf_ins {
-        d.add_port_in(leaf, p);
-    }
-    let mut sigs = leaf_ins;
-    for g in 0..shape.leaf_gates {
-        let out = d.intern(&format!("g{g}"));
-        let kind = match g % 6 {
-            0 => GateKind::Nand,
-            1 => GateKind::Nor,
-            2 => GateKind::And,
-            3 => GateKind::Or,
-            4 => GateKind::Xor,
-            _ => GateKind::Not,
-        };
-        let a = sigs[(g * 7 + 3) % sigs.len()];
-        let fanins = if kind == GateKind::Not {
-            vec![a]
-        } else {
-            vec![a, sigs[(g * 13 + 1) % sigs.len()]]
-        };
-        d.add_cell(leaf, out, NodeKind::Gate(kind), fanins)
-            .expect("legal leaf cell");
-        sigs.push(out);
-    }
-    let leaf_outs: Vec<Atom> = sigs[sigs.len() - 4..].to_vec();
-    for &p in &leaf_outs {
-        d.add_port_out(leaf, p);
-    }
-
-    // ---- tile: chains leaves_per_tile leaf instances ---------------
-    let tile = d.add_module("tile").expect("fresh module name");
-    let tile_ins: Vec<Atom> = (0..4).map(|i| d.intern(&format!("t{i}"))).collect();
-    for &p in &tile_ins {
-        d.add_port_in(tile, p);
-    }
-    let mut feed = tile_ins;
-    for k in 0..shape.leaves_per_tile {
-        let inst = d.intern(&format!("l{k}"));
-        let outs: Vec<Atom> = (0..4).map(|j| d.intern(&format!("n{k}_{j}"))).collect();
-        d.add_instance(tile, inst, leaf, feed.clone(), outs.clone())
-            .expect("port counts match");
-        feed = outs;
-    }
-    for &p in &feed {
-        d.add_port_out(tile, p);
-    }
-
-    // ---- top: tiles parallel tile instances, rotated bindings ------
-    let top = d.add_module("top").expect("fresh module name");
-    let top_ins: Vec<Atom> = (0..8).map(|i| d.intern(&format!("p{i}"))).collect();
-    for &p in &top_ins {
-        d.add_port_in(top, p);
-    }
+/// A leaf block is `leaf_gates` gates over 4 inputs whose fan-ins
+/// scatter over all earlier signals of the block (wide, shallow cones);
+/// its last 4 gates are its outputs. Tile `t` chains `leaves_per_tile`
+/// leaves named `u{t}/l{k}/`, the first fed by 4 of the 8 primary
+/// inputs rotated by `t`, and its last leaf's outputs are primary
+/// outputs. Depth stays constant across sizes; width carries the
+/// scaling.
+fn synth_netlist(shape: &Shape) -> Netlist {
+    let mut nl = Netlist::new("top");
+    let pis: Vec<NodeId> = (0..8).map(|i| nl.add_input(format!("p{i}"))).collect();
     for t in 0..shape.tiles {
-        let inst = d.intern(&format!("u{t}"));
-        let ins: Vec<Atom> = [0usize, 3, 5, 6]
+        let mut feed: Vec<NodeId> = [0usize, 3, 5, 6]
             .iter()
-            .map(|&r| top_ins[(t + r) % top_ins.len()])
+            .map(|&r| pis[(t + r) % pis.len()])
             .collect();
-        let outs: Vec<Atom> = (0..4).map(|j| d.intern(&format!("w{t}_{j}"))).collect();
-        d.add_instance(top, inst, tile, ins, outs.clone())
-            .expect("port counts match");
-        for &p in &outs {
-            d.add_port_out(top, p);
+        for k in 0..shape.leaves_per_tile {
+            let mut sigs = feed;
+            for g in 0..shape.leaf_gates {
+                let kind = match g % 6 {
+                    0 => GateKind::Nand,
+                    1 => GateKind::Nor,
+                    2 => GateKind::And,
+                    3 => GateKind::Or,
+                    4 => GateKind::Xor,
+                    _ => GateKind::Not,
+                };
+                let a = sigs[(g * 7 + 3) % sigs.len()];
+                let fanins = if kind == GateKind::Not {
+                    vec![a]
+                } else {
+                    vec![a, sigs[(g * 13 + 1) % sigs.len()]]
+                };
+                let id = nl
+                    .add_gate(format!("u{t}/l{k}/g{g}"), kind, fanins)
+                    .expect("legal leaf gate");
+                sigs.push(id);
+            }
+            feed = sigs.split_off(sigs.len() - 4);
+        }
+        for id in feed {
+            nl.mark_output(id);
         }
     }
-    (d, top)
+    nl
 }
 
-/// Flatten + write-to-disk + streaming re-parse + levelize + rare
+/// Build + write-to-disk + streaming re-parse + levelize + rare
 /// extract for one size point; returns the JSON row.
 fn run_size(shape: &Shape, vectors: usize) -> String {
     let gates = shape.gates();
 
     let t = Instant::now();
-    let (design, top) = synth_design(shape);
-    let flat = design.flatten(top).expect("synthetic design flattens");
-    let flatten_sec = t.elapsed().as_secs_f64();
+    let flat = synth_netlist(shape);
+    let build_sec = t.elapsed().as_secs_f64();
     assert_eq!(flat.gate_count(), gates, "generator hit its gate target");
 
     // Write the flat design to disk, then drop every in-memory copy so
@@ -166,7 +129,6 @@ fn run_size(shape: &Shape, vectors: usize) -> String {
     std::fs::write(&path, &text).expect("write temp .bench");
     drop(text);
     drop(flat);
-    drop(design);
 
     let t = Instant::now();
     let file = std::fs::File::open(&path).expect("reopen temp .bench");
@@ -191,7 +153,7 @@ fn run_size(shape: &Shape, vectors: usize) -> String {
     let memory_bytes = parsed.memory_bytes();
     let rss_kb = rss_peak_kb();
     eprintln!(
-        "{gates} gates: flatten {flatten_sec:.3}s | parse {parse_sec:.3}s ({:.2e} gates/s) | levelize {levelize_sec:.3}s | rare {rare_sec:.3}s ({} rare) | {:.1} MB columns | peak RSS {} MB",
+        "{gates} gates: build {build_sec:.3}s | parse {parse_sec:.3}s ({:.2e} gates/s) | levelize {levelize_sec:.3}s | rare {rare_sec:.3}s ({} rare) | {:.1} MB columns | peak RSS {} MB",
         gates as f64 / parse_sec,
         rare.len(),
         memory_bytes as f64 / 1e6,
@@ -201,7 +163,7 @@ fn run_size(shape: &Shape, vectors: usize) -> String {
     let mut row = String::new();
     let _ = write!(
         row,
-        "    {{\n      \"gates\": {gates},\n      \"nodes\": {},\n      \"levels\": {depth},\n      \"bench_bytes\": {bench_bytes},\n      \"memory_bytes\": {memory_bytes},\n      \"rss_peak_kb\": {rss_kb},\n      \"rare_nodes\": {},\n      \"profile_vectors\": {vectors},\n      \"gates_per_sec\": {{\n        \"parse\": {:.1},\n        \"levelize\": {:.1}\n      }},\n      \"seconds\": {{\n        \"flatten\": {flatten_sec:.4},\n        \"parse\": {parse_sec:.4},\n        \"levelize\": {levelize_sec:.4},\n        \"rare_extract\": {rare_sec:.4}\n      }}\n    }}",
+        "    {{\n      \"gates\": {gates},\n      \"nodes\": {},\n      \"levels\": {depth},\n      \"bench_bytes\": {bench_bytes},\n      \"memory_bytes\": {memory_bytes},\n      \"rss_peak_kb\": {rss_kb},\n      \"rare_nodes\": {},\n      \"profile_vectors\": {vectors},\n      \"gates_per_sec\": {{\n        \"parse\": {:.1},\n        \"levelize\": {:.1}\n      }},\n      \"seconds\": {{\n        \"build\": {build_sec:.4},\n        \"parse\": {parse_sec:.4},\n        \"levelize\": {levelize_sec:.4},\n        \"rare_extract\": {rare_sec:.4}\n      }}\n    }}",
         parsed.node_count(),
         rare.len(),
         gates as f64 / parse_sec,

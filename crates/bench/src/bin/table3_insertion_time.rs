@@ -119,7 +119,6 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
         trigger_nodes: q_prop,
         num_instances: TARGET_INSTANCES,
         seed: 0x733,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     })
     .run(&nl);

@@ -55,7 +55,6 @@ fn main() {
             trigger_nodes: q,
             num_instances: 1,
             seed: 0x7AB5,
-            podem: PodemConfig::justify(),
             ..InsertionConfig::default()
         };
         let outcome = match InsertionFramework::new(config).run(&nl) {

@@ -8,60 +8,42 @@
 //! merged vector drives to their rare values simultaneously — the trojan
 //! insertion points.
 //!
-//! Rare profiling already saw most rare events fire. Justification
-//! follows that profiling pattern (the event's *witness*), which can
-//! never backtrack; only events without a witness run a plain search.
+//! Rare profiling already saw most rare events fire. In justify mode
+//! the search follows that profiling pattern (the event's *witness*),
+//! which can never backtrack; events without a witness, and every event
+//! in detect mode, run a plain search.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use htforge_atpg::{Cube, Fault, Podem, PodemConfig, PodemMode, TestResult};
+use htforge_atpg::{Cube, Fault, Podem, PodemConfig, PodemMode};
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 use htforge_obs::{BudgetTicker, DegradationNote, RunBudget};
 use htforge_sim::{NodeValues, PatternSet, RareNodeSet, SimProgram};
 
-/// Per-thread cube generator: a detect-mode engine with a justify-mode
-/// fallback (a justification cube is all a trigger needs).
+/// Per-thread cube generator: one PODEM engine in the configured mode.
 struct CubeWorker {
     podem: Podem,
-    justify: Option<Podem>,
     base_seed: Option<u64>,
     /// Searches this worker ran along a witness.
     witnessed: usize,
 }
 
 impl CubeWorker {
-    fn new(nl: &Netlist, config: PodemConfig) -> Result<Self, NetlistError> {
-        let justify = if config.mode == PodemMode::Detect {
-            Some(Podem::new(
-                nl,
-                PodemConfig {
-                    mode: PodemMode::Justify,
-                    ..config
-                },
-            )?)
-        } else {
-            None
-        };
+    /// The run budget reaches the engine, so in-flight searches stop at
+    /// the deadline instead of only between faults.
+    fn new(nl: &Netlist, config: PodemConfig, budget: &RunBudget) -> Result<Self, NetlistError> {
+        let mut podem = Podem::new(nl, config)?;
+        podem.set_run_budget(budget.clone());
         Ok(CubeWorker {
-            podem: Podem::new(nl, config)?,
-            justify,
+            podem,
             base_seed: config.random_seed,
             witnessed: 0,
         })
     }
 
-    /// Attaches the run budget to both engines so in-flight searches
-    /// stop at the deadline instead of only between faults.
-    fn set_run_budget(&mut self, budget: &RunBudget) {
-        self.podem.set_run_budget(budget.clone());
-        if let Some(j) = self.justify.as_mut() {
-            j.set_run_budget(budget.clone());
-        }
-    }
-
-    /// The cube for event `index`. A `witness` (node values and the
-    /// column that fires the event) guides the justify-mode search: the
-    /// main engine in justify mode, the fallback in detect mode.
+    /// The cube for event `index`. In justify mode a `witness` (node
+    /// values and the column that fires the event) guides the search;
+    /// detect mode always runs a plain search.
     fn cube_for(
         &mut self,
         index: usize,
@@ -71,30 +53,17 @@ impl CubeWorker {
         htforge_obs::faultpoint!("compat.cube");
         if let Some(seed) = self.base_seed {
             // Deterministic per fault, independent of work partitioning.
-            let s = seed.wrapping_add(index as u64);
-            self.podem.reseed(s);
-            if let Some(j) = self.justify.as_mut() {
-                j.reseed(s);
-            }
+            self.podem.reseed(seed.wrapping_add(index as u64));
         }
         let fault = Fault::for_rare_event(event.0, event.1);
-        let witnessed = &mut self.witnessed;
-        let mut justify = |podem: &mut Podem| match witness {
-            Some((values, column)) => {
-                *witnessed += 1;
-                podem.generate_witnessed(fault, values, column)
+        match witness {
+            Some((values, column)) if self.podem.config().mode == PodemMode::Justify => {
+                self.witnessed += 1;
+                self.podem.generate_witnessed(fault, values, column)
             }
-            None => podem.generate(fault),
-        };
-        match self.justify.as_mut() {
-            None => justify(&mut self.podem).cube(),
-            Some(fallback) => match self.podem.generate(fault) {
-                TestResult::Test(cube) => Some(cube),
-                TestResult::Untestable | TestResult::Aborted | TestResult::TimedOut => {
-                    justify(fallback).cube()
-                }
-            },
+            _ => self.podem.generate(fault),
         }
+        .cube()
     }
 }
 
@@ -182,9 +151,9 @@ impl CompatGraph {
     /// Builds the compatibility graph for `rare` on `nl` (Algorithm 2).
     ///
     /// `nl` must be combinational or scan-cut. The PODEM mode of
-    /// `podem_config` is honored; on `Detect`-mode abort the engine
-    /// retries the fault in `Justify` mode (a justification cube is all a
-    /// trigger needs), and drops the event only if that fails too.
+    /// `podem_config` is honored: `Justify` (all a trigger needs) follows
+    /// profiling witnesses, `Detect` also propagates each event to an
+    /// output and runs a plain search. An event without a cube is dropped.
     ///
     /// # Errors
     ///
@@ -250,12 +219,7 @@ impl CompatGraph {
         // front so errors surface before any thread spawns, even when
         // there are no events.
         let mut workers: Vec<CubeWorker> = (0..threads.min(rare_list.len()).max(1))
-            .map(|_| {
-                CubeWorker::new(nl, podem_config).map(|mut w| {
-                    w.set_run_budget(budget);
-                    w
-                })
-            })
+            .map(|_| CubeWorker::new(nl, podem_config, budget))
             .collect::<Result<_, _>>()?;
         let next = AtomicUsize::new(0);
         let results: Vec<(Vec<(usize, Cube)>, usize)> = std::thread::scope(|scope| {
@@ -469,6 +433,7 @@ impl CompatGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htforge_atpg::TestResult;
     use htforge_netlist::bench;
     use htforge_sim::tri::justifies;
     use htforge_sim::{RareNodeExtractor, Tri};
@@ -614,8 +579,8 @@ z = NOR(a, b)
         };
         let cases = [
             (htforge_circuits::load("c2670").unwrap(), seeded),
-            // Detect mode with a small abort limit also exercises the
-            // justify fallback and the dropped count.
+            // Detect mode with a small abort limit exercises the plain
+            // search and the events it drops.
             (
                 htforge_circuits::load("s1423").unwrap().scan_cut(),
                 PodemConfig {

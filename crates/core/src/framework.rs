@@ -56,7 +56,8 @@ pub struct InsertionConfig {
     /// Master seed: drives profiling vectors, clique ordering, and the
     /// random payload strategy.
     pub seed: u64,
-    /// PODEM configuration for cube generation.
+    /// PODEM configuration for cube generation (default: justify mode,
+    /// since a trigger only needs its rare values justified).
     pub podem: PodemConfig,
     /// Payload-net selection strategy.
     pub payload: PayloadStrategy,
@@ -73,7 +74,7 @@ impl Default for InsertionConfig {
             num_instances: 1,
             max_fanin: 4,
             seed: 0x4AC4,
-            podem: PodemConfig::default(),
+            podem: PodemConfig::justify(),
             payload: PayloadStrategy::MostObservable,
             payload_kind: PayloadKind::Flip,
         }
@@ -657,7 +658,6 @@ mod tests {
             trigger_nodes: q,
             num_instances: n,
             seed: 42,
-            podem: PodemConfig::justify(),
             ..InsertionConfig::default()
         }
     }
@@ -820,7 +820,6 @@ mod tests {
             trigger_nodes: 4,
             num_instances: 2,
             seed: 7,
-            podem: PodemConfig::justify(),
             ..InsertionConfig::default()
         };
         let outcome = InsertionFramework::new(cfg).run(&nl).unwrap();

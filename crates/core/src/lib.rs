@@ -31,7 +31,6 @@
 //!     num_vectors: 2_000,
 //!     trigger_nodes: 2,
 //!     num_instances: 1,
-//!     podem: htforge_atpg::PodemConfig::justify(),
 //!     ..InsertionConfig::default()
 //! };
 //! let outcome = InsertionFramework::new(config).run(&nl)?;

@@ -215,7 +215,6 @@ mod tests {
             trigger_nodes: 2,
             num_instances: 2,
             seed: 42,
-            podem: htforge_atpg::PodemConfig::justify(),
             ..InsertionConfig::default()
         };
         let outcome = InsertionFramework::new(cfg).run(&nl).unwrap();

@@ -41,14 +41,6 @@ pub enum NetlistError {
         /// The keyword as written in the source.
         keyword: String,
     },
-    /// A hierarchical design is malformed (bad port binding, multiple
-    /// drivers, unknown module, …).
-    Hierarchy {
-        /// Name of the module where the problem was found.
-        module: String,
-        /// Human-readable description of the problem.
-        message: String,
-    },
 }
 
 impl fmt::Display for NetlistError {
@@ -74,9 +66,6 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::UnknownGateKind { line, keyword } => {
                 write!(f, "unknown gate kind `{keyword}` at line {line}")
-            }
-            NetlistError::Hierarchy { module, message } => {
-                write!(f, "hierarchy error in module `{module}`: {message}")
             }
         }
     }

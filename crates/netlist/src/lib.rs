@@ -12,8 +12,6 @@
 //!
 //! * [`bench`](mod@bench) — a streaming parser and writer for the ISCAS
 //!   `.bench` format,
-//! * [`hier`] — hierarchical multi-module designs with deterministic
-//!   flattening,
 //! * [`verilog`] — a structural-Verilog writer (for synthesis hand-off),
 //! * [`graph`] — levelization, topological order, cones and reachability,
 //! * [`area`] — a Nangate-45nm-style standard-cell area model used by the
@@ -40,7 +38,6 @@ pub mod bench;
 pub mod error;
 pub mod gate;
 pub mod graph;
-pub mod hier;
 pub mod intern;
 pub mod netlist;
 pub mod verilog;
@@ -48,6 +45,5 @@ pub mod verilog;
 pub use area::{AreaModel, AreaReport};
 pub use error::NetlistError;
 pub use gate::{FoldOp, GateKind};
-pub use hier::{Design, Module, ModuleId};
 pub use intern::{Atom, SymbolTable};
 pub use netlist::{Netlist, NodeId, NodeKind, NodeRef};

@@ -16,9 +16,9 @@
 //!   `(offset, len, capacity)` and amortized-doubling relocation on
 //!   append, so incremental construction (trojan insertion appends
 //!   gates) stays O(1) amortized while consumers still see a contiguous
-//!   `&[NodeId]` slice. Bulk builders (the streaming parsers, the
-//!   hierarchy flattener) instead call [`Netlist::compact_fanouts`] once
-//!   to build the exact CSR with zero slack.
+//!   `&[NodeId]` slice. Bulk builders (the streaming parsers) instead
+//!   call [`Netlist::compact_fanouts`] once to build the exact CSR with
+//!   zero slack.
 //! * **Levels** are computed on demand and cached; any structural
 //!   mutation invalidates the cache.
 //!
@@ -93,15 +93,6 @@ pub(crate) const KIND_DFF: u8 = 1;
 pub(crate) const KIND_GATE_BASE: u8 = 2;
 /// `atom → node` slot for atoms with no node.
 const NO_NODE: u32 = u32::MAX;
-
-#[inline]
-pub(crate) fn pack_kind(kind: NodeKind) -> u8 {
-    match kind {
-        NodeKind::Input => KIND_INPUT,
-        NodeKind::Dff => KIND_DFF,
-        NodeKind::Gate(k) => KIND_GATE_BASE + k.code(),
-    }
-}
 
 #[inline]
 pub(crate) fn unpack_kind(packed: u8) -> NodeKind {
@@ -195,7 +186,7 @@ pub struct Netlist {
     node_atom: Vec<Atom>,
     /// Atom → node id ([`NO_NODE`] when the atom names no node).
     atom_node: Vec<u32>,
-    /// Packed node kind column (see [`pack_kind`]).
+    /// Packed node kind column (see [`KIND_INPUT`]).
     kinds: Vec<u8>,
     /// Fan-in CSR: per-node offset/length into `fanin_pool`.
     fanin_off: Vec<u32>,
@@ -446,31 +437,6 @@ impl Netlist {
             + self.output_flag.capacity()
     }
 
-    /// A stable digest of the netlist structure: node names, kinds,
-    /// fan-in wiring and output markings (the design name is excluded).
-    /// Two netlists with the same nodes in the same order hash equal;
-    /// useful as a dedup / change-detection key for compiled artifacts.
-    #[must_use]
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = crate::intern::fx_hash(b"htforge-netlist-v1");
-        let mix = |h: u64, w: u64| -> u64 {
-            (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-        };
-        h = mix(h, self.kinds.len() as u64);
-        for id in self.node_ids() {
-            let name = self.name_of(id);
-            h = mix(h, crate::intern::fx_hash(name.as_bytes()));
-            h = mix(h, u64::from(self.kinds[id.index()]));
-            let fanins = self.fanins(id);
-            h = mix(h, fanins.len() as u64);
-            for &f in fanins {
-                h = mix(h, u64::from(f.0));
-            }
-            h = mix(h, u64::from(self.output_flag[id.index()]));
-        }
-        h
-    }
-
     /// Resets caches derived from structure (levelization).
     #[inline]
     fn touch(&mut self) {
@@ -517,7 +483,7 @@ impl Netlist {
         Ok(id)
     }
 
-    /// Sets a node's fan-ins in bulk (streaming-parser/flattener path).
+    /// Sets a node's fan-ins in bulk (streaming-parser path).
     /// Fan-out lists are **not** updated; call [`Netlist::compact_fanouts`]
     /// once after all fan-ins are set.
     pub(crate) fn set_fanins_raw(&mut self, id: NodeId, fanins: &[NodeId]) {
@@ -1068,26 +1034,5 @@ mod tests {
         let s = nl.to_string();
         assert!(s.contains("2 inputs"));
         assert!(s.contains("2 gates"));
-    }
-
-    #[test]
-    fn structural_hash_tracks_structure_not_design_name() {
-        let a = half_adder();
-        let mut b = half_adder();
-        b.set_name("renamed");
-        assert_eq!(a.structural_hash(), b.structural_hash());
-
-        // Changing wiring changes the hash.
-        let mut c = half_adder();
-        let sum = c.find("s").unwrap();
-        let carry = c.find("c").unwrap();
-        c.splice_driver(sum, carry);
-        assert_ne!(a.structural_hash(), c.structural_hash());
-
-        // Changing output markings changes the hash.
-        let mut d = half_adder();
-        let pi = d.find("a").unwrap();
-        d.mark_output(pi);
-        assert_ne!(a.structural_hash(), d.structural_hash());
     }
 }

@@ -452,7 +452,7 @@ pub fn validate_netlist_scaling(doc: &Json) -> Result<(), String> {
         if seconds.as_obj().is_none() {
             return Err(format!("results[{i}]: `seconds` must be an object"));
         }
-        for key in ["flatten", "parse", "levelize", "rare_extract"] {
+        for key in ["build", "parse", "levelize", "rare_extract"] {
             let v = seconds
                 .get(key)
                 .and_then(Json::as_f64)
@@ -652,7 +652,7 @@ mod tests {
                 (
                     "seconds",
                     Json::obj(vec![
-                        ("flatten", Json::Num(0.01)),
+                        ("build", Json::Num(0.01)),
                         ("parse", Json::Num(0.05)),
                         ("levelize", Json::Num(0.002)),
                         ("rare_extract", Json::Num(0.03)),

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use htforge_atpg::{all_faults, fault_simulate, PodemConfig};
+use htforge_atpg::{all_faults, fault_simulate};
 use htforge_core::{
     InsertionConfig, InsertionError, InsertionFramework, InsertionOutcome, PayloadKind,
     PhaseTimings,
@@ -202,7 +202,6 @@ fn framework_for(job: &JobSpec) -> InsertionFramework {
         num_instances: p.instances,
         seed: p.seed,
         payload_kind: PayloadKind::Flip,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     })
 }

@@ -13,7 +13,6 @@
 use std::error::Error;
 use std::fs;
 
-use htforge::atpg::PodemConfig;
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadStrategy};
 use htforge::netlist::{bench, AreaModel, AreaReport};
 
@@ -35,7 +34,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             trigger_nodes: q,
             num_instances: instances,
             seed: 7,
-            podem: PodemConfig::justify(),
             payload: PayloadStrategy::Random(7),
             ..InsertionConfig::default()
         };

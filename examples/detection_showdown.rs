@@ -8,7 +8,6 @@
 
 use std::error::Error;
 
-use htforge::atpg::PodemConfig;
 use htforge::baselines::{RandomInserter, RlConfig, RlInserter, TrustHubInserter};
 use htforge::core::{InfectedDesign, InsertionConfig, InsertionFramework};
 use htforge::detect::{
@@ -38,7 +37,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         trigger_nodes: 16,
         num_instances: instances,
         seed: 1,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     })
     .run(&golden)?;

@@ -9,7 +9,6 @@
 
 use std::error::Error;
 
-use htforge::atpg::PodemConfig;
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadKind};
 use htforge::netlist::bench;
 use htforge::sim::simulator::BoundSimulator;
@@ -33,7 +32,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             trigger_nodes: 12,
             num_instances: 3,
             seed: 11,
-            podem: PodemConfig::justify(),
             payload_kind: kind,
             ..InsertionConfig::default()
         });

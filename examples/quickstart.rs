@@ -15,7 +15,6 @@
 use std::error::Error;
 use std::fs;
 
-use htforge::atpg::PodemConfig;
 use htforge::core::{InsertionConfig, InsertionFramework};
 use htforge::netlist::{bench, verilog, AreaModel, AreaReport};
 use htforge::obs::{Json, RunReport};
@@ -38,7 +37,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         trigger_nodes: q,
         num_instances: n,
         seed: 2025,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     };
     println!(

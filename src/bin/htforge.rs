@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use htforge::atpg::{all_faults, fault_simulate, PodemConfig};
+use htforge::atpg::{all_faults, fault_simulate};
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadKind};
 use htforge::detect::{DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection};
 use htforge::netlist::{bench, verilog, AreaModel, Netlist};
@@ -231,7 +231,6 @@ fn cmd_insert(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         trigger_nodes: q,
         num_instances: n,
         payload_kind,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     });
 

@@ -42,7 +42,6 @@ fn c17_config() -> InsertionConfig {
         trigger_nodes: 2,
         num_instances: 2,
         seed: 42,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     }
 }

@@ -1,10 +1,10 @@
-//! Property wall for the interned / SoA / hierarchical netlist core.
+//! Property wall for the interned / SoA netlist core.
 //!
 //! Two guarantees the refactor must not bend:
 //!
-//! * **Hierarchical round trip.** Any generated multi-module `Design`,
-//!   flattened, trojaned (trigger AND over two primary inputs, XOR
-//!   payload spliced over a victim gate), written to `.bench` text and
+//! * **Round trip.** Any generated netlist of prefixed block copies,
+//!   trojaned (trigger AND over two primary inputs, XOR payload
+//!   spliced over a victim gate), written to `.bench` text and
 //!   re-parsed, is name-isomorphic to the in-memory netlist: same node
 //!   set, same kinds, same fan-in lists, same output markings, same
 //!   levelization. Node ids and `Atom` handles are allowed to differ —
@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use htforge::netlist::{bench, Design, GateKind, Netlist, NodeKind};
+use htforge::netlist::{bench, GateKind, Netlist, NodeKind};
 use htforge::scoap::Scoap;
 
 /// Name-keyed structural fingerprint: kind, fan-in names (in order),
@@ -71,61 +71,39 @@ const KINDS: [GateKind; 7] = [
 /// One generated leaf gate: kind selector plus two fan-in seeds.
 type GateSeed = (u8, u16, u16);
 
-/// Builds a two-level design — `ntiles` instances of one generated
-/// leaf module under `top` — and returns the flattened netlist.
+/// Builds `ntiles` copies of one generated block over `nin` primary
+/// inputs, rotated by the copy index, with gate names prefixed `u{t}/`
+/// and each copy's last gate a primary output.
 fn build_flat(nin: usize, gates: &[GateSeed], ntiles: usize) -> Netlist {
-    let mut d = Design::new("prop_design");
-    let leaf = d.add_module("leaf").unwrap();
-    let mut sigs: Vec<_> = (0..nin)
-        .map(|i| {
-            let a = d.intern(&format!("i{i}"));
-            d.add_port_in(leaf, a);
-            a
-        })
-        .collect();
-    for (g, &(kind_sel, s1, s2)) in gates.iter().enumerate() {
-        let kind = KINDS[kind_sel as usize % KINDS.len()];
-        let a_ix = s1 as usize % sigs.len();
-        // Second fan-in is forced distinct from the first; duplicated
-        // fan-ins are legal but make the fan-out bookkeeping a less
-        // interesting test subject than two real edges.
-        let b_ix = (a_ix + 1 + s2 as usize % (sigs.len() - 1)) % sigs.len();
-        let fanins = if kind == GateKind::Not {
-            vec![sigs[a_ix]]
-        } else {
-            vec![sigs[a_ix], sigs[b_ix]]
-        };
-        let out = d.intern(&format!("g{g}"));
-        d.add_cell(leaf, out, NodeKind::Gate(kind), fanins).unwrap();
-        sigs.push(out);
-    }
-    let leaf_out = *sigs.last().unwrap();
-    d.add_port_out(leaf, leaf_out);
-
-    let top = d.add_module("top").unwrap();
-    let pis: Vec<_> = (0..nin)
-        .map(|i| {
-            let a = d.intern(&format!("p{i}"));
-            d.add_port_in(top, a);
-            a
-        })
-        .collect();
+    let mut nl = Netlist::new("top");
+    let pis: Vec<_> = (0..nin).map(|i| nl.add_input(format!("p{i}"))).collect();
     for t in 0..ntiles {
-        let inst = d.intern(&format!("u{t}"));
-        let inputs = (0..nin).map(|j| pis[(j + t) % nin]).collect();
-        let w = d.intern(&format!("w{t}"));
-        d.add_instance(top, inst, leaf, inputs, vec![w]).unwrap();
-        d.add_port_out(top, w);
+        let mut sigs: Vec<_> = (0..nin).map(|j| pis[(j + t) % nin]).collect();
+        for (g, &(kind_sel, s1, s2)) in gates.iter().enumerate() {
+            let kind = KINDS[kind_sel as usize % KINDS.len()];
+            let a_ix = s1 as usize % sigs.len();
+            // Second fan-in is forced distinct from the first; duplicated
+            // fan-ins are legal but make the fan-out bookkeeping a less
+            // interesting test subject than two real edges.
+            let b_ix = (a_ix + 1 + s2 as usize % (sigs.len() - 1)) % sigs.len();
+            let fanins = if kind == GateKind::Not {
+                vec![sigs[a_ix]]
+            } else {
+                vec![sigs[a_ix], sigs[b_ix]]
+            };
+            sigs.push(nl.add_gate(format!("u{t}/g{g}"), kind, fanins).unwrap());
+        }
+        nl.mark_output(*sigs.last().unwrap());
     }
-    d.flatten(top).unwrap()
+    nl
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// parse → flatten → insert trojan → write → re-parse → isomorphic.
+    /// build → insert trojan → write → re-parse → isomorphic.
     #[test]
-    fn hierarchical_round_trip_survives_trojan_insertion(
+    fn round_trip_survives_trojan_insertion(
         nin in 2usize..5,
         gates in proptest::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..10),
         ntiles in 1usize..4,
@@ -138,7 +116,7 @@ proptest! {
 
         // Trigger taps are primary inputs (never downstream of the
         // victim, so the splice cannot close a combinational loop);
-        // the victim is any flattened gate.
+        // the victim is any gate.
         let x = nl.inputs()[t_seed as usize % nin];
         let y = nl.inputs()[(t_seed as usize + 1) % nin];
         let victims: Vec<_> = nl

@@ -3,7 +3,6 @@
 //! schema contract the CI `obs_validate` step and the benchmark binaries
 //! rely on.
 
-use htforge::atpg::PodemConfig;
 use htforge::core::{InsertionConfig, InsertionFramework};
 use htforge::obs::{self, Json, RunReport};
 
@@ -30,7 +29,6 @@ fn pipeline_run_report_has_phases_and_podem_counters() {
         trigger_nodes: 2,
         num_instances: 1,
         seed: 7,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     })
     .run(&golden)

@@ -1,7 +1,6 @@
 //! End-to-end integration tests: the full insertion pipeline on a
 //! paper-scale circuit, checked by independent simulation.
 
-use htforge::atpg::PodemConfig;
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadStrategy};
 use htforge::netlist::bench;
 use htforge::sim::simulator::BoundSimulator;
@@ -15,7 +14,6 @@ fn insertion_outcome(circuit: &str, q: usize, n: usize) -> htforge::core::Insert
         trigger_nodes: q,
         num_instances: n,
         seed: 0xD0C5,
-        podem: PodemConfig::justify(),
         payload: PayloadStrategy::MostObservable,
         ..InsertionConfig::default()
     })

@@ -7,7 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-use htforge::atpg::PodemConfig;
 use htforge::core::{InsertionConfig, InsertionError, InsertionFramework};
 use htforge::obs::RunBudget;
 
@@ -18,7 +17,6 @@ fn paper_scale_config() -> InsertionConfig {
         trigger_nodes: 8,
         num_instances: 10,
         seed: 7,
-        podem: PodemConfig::justify(),
         ..InsertionConfig::default()
     }
 }
