@@ -44,5 +44,5 @@ pub mod podem;
 pub use cube::Cube;
 pub use fault::Fault;
 pub use fault_sim::{all_faults, fault_simulate, FaultSimReport};
-pub use ndetect::n_detect_cubes;
+pub use ndetect::{n_detect_cubes, NDetectEngine};
 pub use podem::{Podem, PodemConfig, PodemMode, TestResult};

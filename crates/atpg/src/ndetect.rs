@@ -47,45 +47,74 @@ pub fn n_detect_cubes(
     base_config: PodemConfig,
     seed: u64,
 ) -> Result<Vec<Cube>, NetlistError> {
-    let mut cubes: Vec<Cube> = Vec::new();
-    if n == 0 {
-        return Ok(cubes);
+    Ok(NDetectEngine::new(nl, base_config)?.cubes(fault, n, seed))
+}
+
+/// A reusable N-detect cube generator: one deterministic PODEM engine
+/// for the SCOAP-guided first run and one randomized engine, reseeded
+/// before every attempt. The cubes for a fault depend only on the fault,
+/// `n` and the seed, never on what the engine searched before, so one
+/// engine per worker thread gives the same cubes as [`n_detect_cubes`].
+#[derive(Debug)]
+pub struct NDetectEngine {
+    deterministic: Podem,
+    randomized: Podem,
+}
+
+impl NDetectEngine {
+    /// Builds both engines for `nl`; `config`'s `random_seed` is ignored.
+    ///
+    /// # Errors
+    ///
+    /// Propagates netlist errors from engine construction (cyclic or
+    /// sequential netlists).
+    pub fn new(nl: &Netlist, config: PodemConfig) -> Result<Self, NetlistError> {
+        Ok(NDetectEngine {
+            deterministic: Podem::new(
+                nl,
+                PodemConfig {
+                    random_seed: None,
+                    ..config
+                },
+            )?,
+            randomized: Podem::new(
+                nl,
+                PodemConfig {
+                    // Replaced by `reseed` before every attempt.
+                    random_seed: Some(0),
+                    ..config
+                },
+            )?,
+        })
     }
 
-    // Deterministic first run: the SCOAP-guided cube.
-    let mut det = Podem::new(
-        nl,
-        PodemConfig {
-            random_seed: None,
-            ..base_config
-        },
-    )?;
-    match det.generate(fault) {
-        TestResult::Test(cube) => cubes.push(cube),
-        TestResult::Untestable => return Ok(cubes),
-        TestResult::Aborted | TestResult::TimedOut => {}
-    }
-
-    let attempts = 4 * n;
-    for k in 0..attempts {
-        if cubes.len() >= n {
-            break;
+    /// Up to `n` distinct cubes testing `fault` (see [`n_detect_cubes`]).
+    pub fn cubes(&mut self, fault: Fault, n: usize, seed: u64) -> Vec<Cube> {
+        let mut cubes: Vec<Cube> = Vec::new();
+        if n == 0 {
+            return cubes;
         }
-        let cfg = PodemConfig {
-            random_seed: Some(
+        match self.deterministic.generate(fault) {
+            TestResult::Test(cube) => cubes.push(cube),
+            TestResult::Untestable => return cubes,
+            TestResult::Aborted | TestResult::TimedOut => {}
+        }
+        for k in 0..4 * n {
+            if cubes.len() >= n {
+                break;
+            }
+            self.randomized.reseed(
                 seed.wrapping_add(k as u64)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
-            ..base_config
-        };
-        let mut podem = Podem::new(nl, cfg)?;
-        if let TestResult::Test(cube) = podem.generate(fault) {
-            if !cubes.contains(&cube) {
-                cubes.push(cube);
+            );
+            if let TestResult::Test(cube) = self.randomized.generate(fault) {
+                if !cubes.contains(&cube) {
+                    cubes.push(cube);
+                }
             }
         }
+        cubes
     }
-    Ok(cubes)
 }
 
 #[cfg(test)]

@@ -177,6 +177,9 @@ pub struct Podem {
     queued: Vec<u32>,
     /// Current stamp generation.
     stamp: u32,
+    /// Fanout cone of the current fault site (detect mode only): the
+    /// nodes whose good and faulty values can differ.
+    cone: Vec<NodeId>,
     rng: Option<StdRng>,
     /// Backtracks taken by the most recent search.
     last_backtracks: usize,
@@ -237,6 +240,7 @@ impl Podem {
             pi_pos_of,
             queued: vec![0; n],
             stamp: 0,
+            cone: Vec::new(),
             rng: config.random_seed.map(StdRng::seed_from_u64),
             last_backtracks: 0,
             metrics: PodemMetrics::from_global(),
@@ -328,6 +332,7 @@ impl Podem {
     }
 
     fn run(&mut self, fault: Fault, witness: Option<Witness<'_>>) -> TestResult {
+        htforge_obs::faultpoint!("podem.generate");
         let mut backtracks = 0usize;
         let result = self.search(fault, witness, &mut backtracks);
         self.last_backtracks = backtracks;
@@ -350,6 +355,9 @@ impl Podem {
         backtracks: &mut usize,
     ) -> TestResult {
         self.reset();
+        if self.config.mode == PodemMode::Detect {
+            self.collect_cone(fault.node());
+        }
         let mut decisions: Vec<Decision> = Vec::new();
         let mut ticker = BudgetTicker::new(self.run_budget.clone(), 1024);
         // Cancellation is checked up front: short searches may finish
@@ -412,6 +420,32 @@ impl Podem {
         }
     }
 
+    /// Collects the fanout cone of `site`, itself included, into
+    /// `self.cone` (in no particular order).
+    fn collect_cone(&mut self, site: NodeId) {
+        let mut seen = vec![false; self.nl.node_count()];
+        seen[site.index()] = true;
+        self.cone.clear();
+        self.cone.push(site);
+        let mut next = 0;
+        while let Some(&id) = self.cone.get(next) {
+            next += 1;
+            for &f in self.nl.fanouts(id) {
+                if !seen[f.index()] {
+                    seen[f.index()] = true;
+                    self.cone.push(f);
+                }
+            }
+        }
+    }
+
+    /// Whether `id` carries a fault effect: good and faulty values are
+    /// both known and differ.
+    fn fault_effect(&self, id: NodeId) -> bool {
+        let (g, f) = (self.good[id.index()], self.faulty[id.index()]);
+        g.is_care() && f.is_care() && g != f
+    }
+
     fn reset(&mut self) {
         self.good.fill(Tri::X);
         self.faulty.fill(Tri::X);
@@ -425,18 +459,14 @@ impl Podem {
         }
         match self.config.mode {
             PodemMode::Justify => true,
-            PodemMode::Detect => self.nl.outputs().iter().any(|&o| {
-                let g = self.good[o.index()];
-                let f = self.faulty[o.index()];
-                g.is_care() && f.is_care() && g != f
-            }),
+            PodemMode::Detect => self.nl.outputs().iter().any(|&o| self.fault_effect(o)),
         }
     }
 
     /// Derives the next objective `(node, value)`, or `None` when the
     /// current partial assignment cannot lead to a test (triggering a
     /// backtrack).
-    fn objective(&mut self, fault: Fault, ticker: &mut BudgetTicker) -> Option<(NodeId, bool)> {
+    fn objective(&self, fault: Fault, ticker: &mut BudgetTicker) -> Option<(NodeId, bool)> {
         let site = self.good[fault.node().index()];
         let want = fault.excitation_value();
         match site {
@@ -448,33 +478,31 @@ impl Podem {
             // Excited and justify-only: `success` would have caught it.
             return None;
         }
-        // Fault excited: advance the D-frontier. Prefer the gate whose
-        // output is closest to a PO (min CO).
+        // Fault excited: advance the D-frontier, the gates with a fault
+        // effect on an input and an X input. Prefer the gate closest to a
+        // PO (min CO, then lowest id). Every frontier gate is a fanout of
+        // a node carrying a fault effect, and only the fault site's fanout
+        // cone can carry one, so only the cone is scanned.
         let mut best: Option<(NodeId, u32)> = None;
-        for (id, node) in self.nl.iter() {
+        for &id in &self.cone {
             if ticker.tick().is_err() {
                 break; // the search loop reports TimedOut
             }
-            let kind = match node.kind() {
-                NodeKind::Gate(k) => k,
-                _ => continue,
-            };
-            let out_definite = self.good[id.index()].is_care() && self.faulty[id.index()].is_care();
-            if out_definite {
+            if !self.fault_effect(id) {
                 continue;
             }
-            let has_fault_input = node.fanins().iter().any(|f| {
-                let g = self.good[f.index()];
-                let fv = self.faulty[f.index()];
-                g.is_care() && fv.is_care() && g != fv
-            });
-            let has_x_input = node.fanins().iter().any(|f| self.good[f.index()] == Tri::X);
-            if has_fault_input && has_x_input {
-                let co = self.scoap.co(id);
-                if best.is_none_or(|(_, c)| co < c) {
-                    best = Some((id, co));
+            for &gate in self.nl.fanouts(id) {
+                let node = self.nl.node(gate);
+                if !matches!(node.kind(), NodeKind::Gate(_))
+                    || (self.good[gate.index()].is_care() && self.faulty[gate.index()].is_care())
+                    || !node.fanins().iter().any(|f| self.good[f.index()] == Tri::X)
+                {
+                    continue;
                 }
-                let _ = kind;
+                let co = self.scoap.co(gate);
+                if best.is_none_or(|(b, c)| (co, gate.index()) < (c, b.index())) {
+                    best = Some((gate, co));
+                }
             }
         }
         let (gate, _) = best?;

@@ -13,8 +13,6 @@
 //! which can never backtrack; events without a witness, and every event
 //! in detect mode, run a plain search.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use htforge_atpg::{Cube, Fault, Podem, PodemConfig, PodemMode};
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 use htforge_obs::{BudgetTicker, DegradationNote, RunBudget};
@@ -115,11 +113,6 @@ fn witness_columns(prog: &SimProgram, rare: &RareNodeSet) -> (NodeValues, Vec<Op
     (values, columns)
 }
 
-/// Cube-generation workers: one per available hardware thread.
-fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// One vertex of the compatibility graph: a rare node, its rare value,
 /// and the PODEM cube that justifies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,7 +161,7 @@ impl CompatGraph {
             nl,
             rare,
             podem_config,
-            host_threads(),
+            htforge_obs::host_threads(),
             &RunBudget::unlimited(),
         )
         .map(|(graph, _)| graph)
@@ -192,7 +185,7 @@ impl CompatGraph {
         podem_config: PodemConfig,
         budget: &RunBudget,
     ) -> Result<(Self, Vec<DegradationNote>), NetlistError> {
-        Self::build_inner(nl, rare, podem_config, host_threads(), budget)
+        Self::build_inner(nl, rare, podem_config, htforge_obs::host_threads(), budget)
     }
 
     fn build_inner(
@@ -206,11 +199,10 @@ impl CompatGraph {
         let rare_list: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let mut notes = Vec::new();
 
-        // Phase A: one cube per rare event. Workers take the next fault
-        // from one shared index, so a few slow faults cannot pile up on
-        // one worker; results are stored by event index. Each worker
+        // Phase A: one cube per rare event on the shared worker loop, so
+        // a few slow faults cannot pile up on one worker. Each worker
         // checks the budget before starting a fault; expired budgets
-        // skip the remaining faults (a skip is distinguishable from a
+        // skip the remaining faults (`None`, distinguishable from a
         // PODEM drop so it can be reported).
         let podem_span = htforge_obs::span("podem");
         let prog = SimProgram::compile(nl)?;
@@ -221,67 +213,27 @@ impl CompatGraph {
         let mut workers: Vec<CubeWorker> = (0..threads.min(rare_list.len()).max(1))
             .map(|_| CubeWorker::new(nl, podem_config, budget))
             .collect::<Result<_, _>>()?;
-        let next = AtomicUsize::new(0);
-        let results: Vec<(Vec<(usize, Cube)>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .map(|worker| {
-                    let (next, rare_list) = (&next, &rare_list);
-                    let (witness_values, witness_columns) = (&witness_values, &witness_columns);
-                    scope.spawn(move || {
-                        let mut cubes = Vec::new();
-                        let mut skipped = 0usize;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= rare_list.len() {
-                                break;
-                            }
-                            if budget.check().is_err() {
-                                skipped += 1;
-                                continue;
-                            }
-                            let witness = witness_columns[i].map(|c| (witness_values, c));
-                            if let Some(cube) = worker.cube_for(i, rare_list[i], witness) {
-                                cubes.push((i, cube));
-                            }
-                        }
-                        (cubes, skipped)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    // Re-raise with the original payload so campaign-level
-                    // isolation reports the real panic message.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+        let cubes = htforge_obs::map_indexed(&mut workers, rare_list.len(), |worker, i| {
+            budget.check().is_ok().then(|| {
+                let witness = witness_columns[i].map(|c| (&witness_values, c));
+                worker.cube_for(i, rare_list[i], witness)
+            })
         });
-        let mut cube_results: Vec<Option<Cube>> = vec![None; rare_list.len()];
-        let mut skipped = 0usize;
-        for (cubes, part_skipped) in results {
-            for (i, cube) in cubes {
-                cube_results[i] = Some(cube);
-            }
-            skipped += part_skipped;
-        }
         let witnessed: usize = workers.iter().map(|w| w.witnessed).sum();
 
         let mut events = Vec::new();
-        let mut dropped = 0usize;
-        for (&(node, rare_value), cube) in rare_list.iter().zip(cube_results) {
+        let (mut dropped, mut skipped) = (0usize, 0usize);
+        for (&(node, rare_value), cube) in rare_list.iter().zip(cubes) {
             match cube {
-                Some(cube) => events.push(RareEvent {
+                Some(Some(cube)) => events.push(RareEvent {
                     node,
                     rare_value,
                     cube,
                 }),
-                None => dropped += 1,
+                Some(None) => dropped += 1,
+                None => skipped += 1,
             }
         }
-        dropped -= skipped; // skips are reported separately, not as drops
 
         // Phase A′: functional re-check of every cube. A cube that fails
         // to drive its event (which would take a PODEM defect) is dropped

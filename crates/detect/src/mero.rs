@@ -14,11 +14,20 @@
 //! satisfied-event flags need no simulation of their own: they start as
 //! the vector's column of the pool run, and each accepted flip replaces
 //! them with the winning column of the batch that scored it.
+//!
+//! A vector's climb depends only on that vector, so blocks of the pool
+//! are climbed on the shared worker loop ([`htforge_obs::map_indexed`]);
+//! which climbed vectors are kept is decided afterwards, in pool order.
 
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 use htforge_sim::{NodeValues, PatternSet, RareNodeSet, Simulator};
 
 use crate::scheme::DetectionScheme;
+
+/// Pool vectors climbed per worker between two checks of the stop
+/// condition: large enough that thread start-up stays negligible next
+/// to the climbs, small enough that little is climbed after the stop.
+const CLIMBS_PER_WORKER: usize = 32;
 
 /// The MERO test generator.
 ///
@@ -79,6 +88,50 @@ impl MeroDetection {
             .count()
     }
 
+    /// Hill-climbs pool vector `p` and returns the climbed vector with
+    /// the events it satisfies. Depends only on `p`, so climbs run on
+    /// any worker in any order.
+    fn climb(
+        golden: &Netlist,
+        sim: &Simulator,
+        pool: &PatternSet,
+        pool_values: &NodeValues,
+        p: usize,
+        events: &[(NodeId, bool)],
+    ) -> (Vec<bool>, Vec<bool>) {
+        let num_inputs = pool.num_inputs();
+        let mut vector = pool.pattern(p);
+        // Which events `vector` satisfies, kept in step with every
+        // accepted flip.
+        let mut sat = Self::satisfied(pool_values, p, events);
+        let mut current = sat.iter().filter(|&&s| s).count();
+        // Hill-climb over input bits, 64 candidate flips per sim.
+        for chunk_start in (0..num_inputs).step_by(64) {
+            let chunk_end = (chunk_start + 64).min(num_inputs);
+            let mut batch = PatternSet::zeros(num_inputs, 0);
+            for i in chunk_start..chunk_end {
+                let mut flipped = vector.clone();
+                flipped[i] = !flipped[i];
+                batch.push(&flipped);
+            }
+            let vals = sim.run_on(golden, &batch);
+            let mut best: Option<(usize, usize)> = None; // (column, score)
+            for k in 0..chunk_end - chunk_start {
+                let score = Self::count_satisfied(&vals, k, events);
+                if score > current && best.is_none_or(|(_, s)| score > s) {
+                    best = Some((k, score));
+                }
+            }
+            if let Some((k, score)) = best {
+                let bit = chunk_start + k;
+                vector[bit] = !vector[bit];
+                current = score;
+                sat = Self::satisfied(&vals, k, events);
+            }
+        }
+        (vector, sat)
+    }
+
     /// [`DetectionScheme::generate_tests`] against an already-compiled
     /// simulator for `golden`. Campaign drivers that run MERO (or rate
     /// it against other schemes) over one circuit should compile the
@@ -99,77 +152,64 @@ impl MeroDetection {
         sim: &Simulator,
         rare: &RareNodeSet,
     ) -> Result<PatternSet, NetlistError> {
+        Ok(self.generate_on(golden, sim, rare, htforge_obs::host_threads()))
+    }
+
+    /// [`MeroDetection::generate_tests_with_sim`] on `threads` workers.
+    /// Blocks of the sorted pool are climbed on the workers; the
+    /// selection then walks each block in pool order, so the test set is
+    /// the same at any thread count. Once every event reaches `n`, at
+    /// most the rest of one block has been climbed for nothing.
+    fn generate_on(
+        &self,
+        golden: &Netlist,
+        sim: &Simulator,
+        rare: &RareNodeSet,
+        threads: usize,
+    ) -> PatternSet {
+        let _span = htforge_obs::span("mero");
         let events: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let num_inputs = golden.inputs().len();
+        let pool = PatternSet::random(num_inputs, self.initial_vectors, self.seed);
+        if events.is_empty() {
+            // Degenerate profile (no rare events): the pool is the test set.
+            return pool;
+        }
 
         // Seed pool, sorted by satisfied-event count (descending) as in
         // the original algorithm.
-        let pool = PatternSet::random(num_inputs, self.initial_vectors, self.seed);
         let pool_values = sim.run_on(golden, &pool);
         let mut order: Vec<usize> = (0..pool.len()).collect();
-        if !events.is_empty() {
-            let mut scores: Vec<usize> = Vec::with_capacity(pool.len());
-            for p in 0..pool.len() {
-                scores.push(Self::count_satisfied(&pool_values, p, &events));
-            }
-            order.sort_by_key(|&p| std::cmp::Reverse(scores[p]));
-        }
+        order.sort_by_cached_key(|&p| {
+            std::cmp::Reverse(Self::count_satisfied(&pool_values, p, &events))
+        });
 
         let mut counts = vec![0usize; events.len()];
         let mut tests = PatternSet::zeros(num_inputs, 0);
-
-        for &p in &order {
-            if !events.is_empty() && counts.iter().all(|&c| c >= self.n) {
-                break;
-            }
-            let mut vector = pool.pattern(p);
-            // Which events `vector` satisfies, kept in step with every
-            // accepted flip.
-            let mut sat = Self::satisfied(&pool_values, p, &events);
-            if !events.is_empty() {
-                let mut current = sat.iter().filter(|&&s| s).count();
-                // Hill-climb over input bits, 64 candidate flips per sim.
-                for chunk_start in (0..num_inputs).step_by(64) {
-                    let chunk_end = (chunk_start + 64).min(num_inputs);
-                    let mut batch = PatternSet::zeros(num_inputs, 0);
-                    for i in chunk_start..chunk_end {
-                        let mut flipped = vector.clone();
-                        flipped[i] = !flipped[i];
-                        batch.push(&flipped);
-                    }
-                    let vals = sim.run_on(golden, &batch);
-                    let mut best: Option<(usize, usize)> = None; // (column, score)
-                    for k in 0..chunk_end - chunk_start {
-                        let score = Self::count_satisfied(&vals, k, &events);
-                        if score > current && best.is_none_or(|(_, s)| score > s) {
-                            best = Some((k, score));
-                        }
-                    }
-                    if let Some((k, score)) = best {
-                        let bit = chunk_start + k;
-                        vector[bit] = !vector[bit];
-                        current = score;
-                        sat = Self::satisfied(&vals, k, &events);
-                    }
+        let mut workers = vec![(); threads];
+        'pool: for block in order.chunks(threads * CLIMBS_PER_WORKER) {
+            let climbs = htforge_obs::map_indexed(&mut workers, block.len(), |(), i| {
+                Self::climb(golden, sim, &pool, &pool_values, block[i], &events)
+            });
+            for (vector, sat) in climbs {
+                if counts.iter().all(|&c| c >= self.n) {
+                    break 'pool;
                 }
-            }
-
-            // Keep the vector if it advances any event's N-detect count.
-            let useful =
-                events.is_empty() || sat.iter().zip(&counts).any(|(&s, &c)| s && c < self.n);
-            if useful {
-                for (count, &s) in counts.iter_mut().zip(&sat) {
-                    *count += usize::from(s);
+                // Keep the vector if it advances any event's N-detect count.
+                if sat.iter().zip(&counts).any(|(&s, &c)| s && c < self.n) {
+                    for (count, &s) in counts.iter_mut().zip(&sat) {
+                        *count += usize::from(s);
+                    }
+                    tests.push(&vector);
                 }
-                tests.push(&vector);
             }
         }
 
         if tests.is_empty() {
-            // Degenerate profile (no rare events): fall back to the pool.
-            return Ok(pool);
+            // No vector excites any rare event: fall back to the pool.
+            return pool;
         }
-        Ok(tests)
+        tests
     }
 }
 
@@ -270,6 +310,30 @@ mod tests {
             .generate_tests(&nl, &rare)
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn output_is_identical_at_any_worker_count() {
+        // Blocks of 32, 64 and 96 climbs: the N-detect target is met in
+        // a different place of each block, and the kept vectors must
+        // not change.
+        let nl = htforge_circuits::load("c880").unwrap();
+        let profile = PatternSet::random(nl.inputs().len(), 10_000, 1);
+        let rare = RareNodeExtractor::new(0.2).extract(&nl, &profile).unwrap();
+        let sim = Simulator::new(&nl).unwrap();
+        let mero = MeroDetection::new(5, 2_500, 3);
+        let one = mero.generate_on(&nl, &sim, &rare, 1);
+        assert!(
+            one.len() < 2_500,
+            "the N-detect target must stop the pool walk"
+        );
+        for threads in [2, 3] {
+            assert_eq!(
+                mero.generate_on(&nl, &sim, &rare, threads),
+                one,
+                "{threads} workers"
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! rare node is *deterministically* driven to its rare value `N` times
 //! (where MERO only gets there statistically). Don't-care bits are filled
 //! randomly, adding incidental coverage.
+//!
+//! Events are independent, so their cubes are generated on the shared
+//! worker loop ([`htforge_obs::map_indexed`]), one [`NDetectEngine`] per
+//! worker; only the don't-care fill, which draws from one RNG, runs in
+//! event order on the caller.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use htforge_atpg::{n_detect_cubes, Fault, PodemConfig};
+use htforge_atpg::{Fault, NDetectEngine, PodemConfig};
 use htforge_netlist::{Netlist, NetlistError};
 use htforge_sim::{PatternSet, RareNodeSet};
 
@@ -51,6 +56,41 @@ impl NdAtpgDetection {
         assert!(n > 0, "N-detect target must be positive");
         NdAtpgDetection { n, seed }
     }
+
+    /// [`DetectionScheme::generate_tests`] on `threads` workers. Event
+    /// `k`'s cubes come from seed `seed + k` on whichever worker takes
+    /// it; the don't-cares are then filled in event order from one RNG,
+    /// so the test set is the same at any thread count.
+    fn generate_on(
+        &self,
+        golden: &Netlist,
+        rare: &RareNodeSet,
+        threads: usize,
+    ) -> Result<PatternSet, NetlistError> {
+        let _span = htforge_obs::span("ndatpg");
+        let faults: Vec<Fault> = rare
+            .iter()
+            .map(|r| Fault::for_rare_event(r.node, r.rare_value))
+            .collect();
+        let mut engines: Vec<NDetectEngine> = (0..threads.min(faults.len()))
+            .map(|_| NDetectEngine::new(golden, PodemConfig::default()))
+            .collect::<Result<_, _>>()?;
+        let cube_sets = htforge_obs::map_indexed(&mut engines, faults.len(), |engine, k| {
+            engine.cubes(faults[k], self.n, self.seed.wrapping_add(k as u64))
+        });
+        let num_inputs = golden.inputs().len();
+        let mut tests = PatternSet::zeros(num_inputs, 0);
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        for cube in cube_sets.iter().flatten() {
+            tests.push(&cube.fill_random(&mut rng));
+        }
+        if tests.is_empty() {
+            // No rare events or nothing testable: emit a random fallback
+            // so the scheme still applies *some* patterns.
+            return Ok(PatternSet::random(num_inputs, 64, self.seed));
+        }
+        Ok(tests)
+    }
 }
 
 impl DetectionScheme for NdAtpgDetection {
@@ -63,28 +103,7 @@ impl DetectionScheme for NdAtpgDetection {
         golden: &Netlist,
         rare: &RareNodeSet,
     ) -> Result<PatternSet, NetlistError> {
-        let num_inputs = golden.inputs().len();
-        let mut tests = PatternSet::zeros(num_inputs, 0);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for (k, r) in rare.iter().enumerate() {
-            let fault = Fault::for_rare_event(r.node, r.rare_value);
-            let cubes = n_detect_cubes(
-                golden,
-                fault,
-                self.n,
-                PodemConfig::default(),
-                self.seed.wrapping_add(k as u64),
-            )?;
-            for cube in cubes {
-                tests.push(&cube.fill_random(&mut rng));
-            }
-        }
-        if tests.is_empty() {
-            // No rare events or nothing testable: emit a random fallback
-            // so the scheme still applies *some* patterns.
-            return Ok(PatternSet::random(num_inputs, 64, self.seed));
-        }
-        Ok(tests)
+        self.generate_on(golden, rare, htforge_obs::host_threads())
     }
 }
 
@@ -124,6 +143,51 @@ mod tests {
             .generate_tests(&nl, &rare)
             .unwrap();
         assert!(large.len() >= small.len());
+    }
+
+    /// FNV-1a over the packed test set.
+    fn digest(tests: &PatternSet) -> u64 {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..tests.num_inputs() {
+            for &w in tests.input_words(i) {
+                digest = (digest ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        digest
+    }
+
+    /// A circuit's rare events at the `detect` benchmark's settings.
+    fn benchmark_profile(name: &str) -> (Netlist, RareNodeSet) {
+        let nl = htforge_circuits::load(name).unwrap().scan_cut();
+        let profile = PatternSet::random(nl.inputs().len(), 10_000, 1);
+        let rare = RareNodeExtractor::new(0.2).extract(&nl, &profile).unwrap();
+        (nl, rare)
+    }
+
+    #[test]
+    fn output_is_identical_at_any_worker_count() {
+        // Every c880 event runs randomized attempts, so a seed that
+        // followed the worker instead of the event would show.
+        let (nl, rare) = benchmark_profile("c880");
+        let ndatpg = NdAtpgDetection::new(2, 1);
+        let one = ndatpg.generate_on(&nl, &rare, 1).unwrap();
+        for threads in [2, 3] {
+            let tests = ndatpg.generate_on(&nl, &rare, threads).unwrap();
+            assert_eq!(tests, one, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn c2670_output_is_pinned() {
+        // Test count and digest at the `detect` benchmark's ND-ATPG
+        // settings, as generated one event at a time on one thread.
+        let (nl, rare) = benchmark_profile("c2670");
+        let tests = NdAtpgDetection::new(2, 1)
+            .generate_tests(&nl, &rare)
+            .unwrap();
+        assert_eq!(rare.len(), 326);
+        assert_eq!(tests.len(), 639);
+        assert_eq!(digest(&tests), 0x5084_a6a9_80d6_8baf);
     }
 
     #[test]

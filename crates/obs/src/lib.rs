@@ -28,6 +28,9 @@
 //!   cancellation, structured degradation records, named
 //!   fault-injection points (`HTFORGE_FAULT`) and panic isolation for
 //!   campaign drivers (see `DESIGN.md` §9).
+//! * **Worker loop** ([`map_indexed`], [`host_threads`]) — the one
+//!   scoped-thread loop every parallel site shares: per-worker state,
+//!   results in index order, worker panics re-raised with their payload.
 //!
 //! ## The global recorder
 //!
@@ -56,6 +59,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod report;
 pub mod table;
+pub mod workers;
 
 use std::sync::OnceLock;
 
@@ -80,6 +84,7 @@ pub use report::{
     validate_json, validate_str, write_atomic, HistogramReport, RunReport, SpanEntry, SCHEMA,
 };
 pub use table::Table;
+pub use workers::{host_threads, map_indexed};
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 

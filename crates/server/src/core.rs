@@ -113,10 +113,7 @@ impl ServerConfig {
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(8)
+        htforge_obs::host_threads().min(8)
     }
 }
 

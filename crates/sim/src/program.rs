@@ -28,8 +28,6 @@
 //! probabilities, MERO / ND-ATPG / random detection, coverage
 //! evaluation, fault simulation's good-machine run — shares it.
 
-use std::sync::OnceLock;
-
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError, NodeKind};
 
 use crate::patterns::PatternSet;
@@ -119,18 +117,6 @@ impl KernelMetrics {
             host_threads: htforge_obs::gauge("sim.host_threads"),
         }
     }
-}
-
-/// The host's available hardware parallelism (1 when unknown), queried
-/// once per process: the query reads cgroup files on Linux, which would
-/// cost more than a one-word run of a mid-size circuit.
-fn host_threads() -> usize {
-    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
-    *HOST_THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
 }
 
 impl SimProgram {
@@ -296,10 +282,12 @@ impl SimProgram {
 
         let words_done = (self.steps() * width) as u64;
         self.metrics.words.add(words_done);
-        self.metrics.host_threads.set(host_threads() as f64);
+        self.metrics
+            .host_threads
+            .set(htforge_obs::host_threads() as f64);
         if let Some(span) = &mut span {
             span.attr("words", width.to_string());
-            span.attr("host_threads", host_threads().to_string());
+            span.attr("host_threads", htforge_obs::host_threads().to_string());
         }
         if let Some(t0) = started {
             let dt = t0.elapsed().as_secs_f64();

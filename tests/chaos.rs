@@ -10,7 +10,8 @@
 //! * a panic inside the campaign server's dispatch path loses only that
 //!   job (the daemon keeps serving; zero lost jobs),
 //! * a fault in the server's response path degrades the response body
-//!   but still delivers exactly one terminal line per job.
+//!   but still delivers exactly one terminal line per job,
+//! * a panic on an ND-ATPG worker reaches the caller with its payload.
 //!
 //! Faultpoint arming is process-global, so every test here serializes on
 //! one mutex and disarms on the way out.
@@ -583,6 +584,29 @@ mod server_chaos {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.submitted, 1, "rejected submits must not count");
     }
+}
+
+#[test]
+fn podem_panic_reaches_the_ndatpg_caller_with_its_payload() {
+    use htforge::detect::{DetectionScheme, NdAtpgDetection};
+    let _gate = lock();
+    disarm_all();
+    let nl = htforge::circuits::load("c432").unwrap();
+    let profile = htforge::sim::PatternSet::random(nl.inputs().len(), 10_000, 1);
+    let rare = htforge::sim::RareNodeExtractor::new(0.2)
+        .extract(&nl, &profile)
+        .unwrap();
+    assert!(rare.len() >= 2, "every worker needs an event");
+    // The first PODEM search on every worker (two on a 2-vCPU host)
+    // panics; the caller must see the injected payload, not the scope's
+    // generic "a scoped thread panicked".
+    arm("podem.generate", Action::Panic);
+    let outcome = htforge::obs::isolate("ndatpg", || {
+        NdAtpgDetection::new(2, 1).generate_tests(&nl, &rare)
+    });
+    disarm_all();
+    let err = outcome.expect_err("the injected panic must reach the caller");
+    assert!(err.contains("injected fault"), "got: {err}");
 }
 
 #[test]

@@ -81,6 +81,18 @@ fn grade_streams_span_lines() {
 }
 
 #[test]
+fn grade_ndatpg_streams_its_generation_span() {
+    let args = ["grade", "c17", "--scheme", "ndatpg"];
+    let (code, stderr, dir) = htforge("grade_ndatpg", &args, "jsonl");
+    assert_eq!(code, Some(0), "{stderr}");
+    let names = span_names(&dir);
+    assert!(
+        names.iter().any(|n| n == "ndatpg"),
+        "no ndatpg in {names:?}"
+    );
+}
+
+#[test]
 fn progress_is_an_unknown_output() {
     let (code, stderr, dir) = htforge("progress", INSERT_C17, "progress");
     let _ = std::fs::remove_dir_all(dir);
