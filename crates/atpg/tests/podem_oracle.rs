@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use htforge_atpg::{Fault, Podem, PodemConfig, TestResult};
 use htforge_netlist::{GateKind, Netlist, NodeId};
-use htforge_sim::simulator::BoundSimulator;
-use htforge_sim::PatternSet;
-use htforge_sim::Tri;
+use htforge_sim::{PatternSet, SimProgram, Tri};
 
 /// Builds a random small combinational netlist from a byte script
 /// (deterministic in the input bytes — proptest shrinks nicely).
@@ -51,7 +49,7 @@ fn build_random_netlist(num_inputs: usize, script: &[u8]) -> Netlist {
 fn exhaustive_verdict(nl: &Netlist, fault: Fault, detect: bool) -> bool {
     let num_inputs = nl.inputs().len();
     assert!(num_inputs <= 12, "exhaustive check limited to 12 inputs");
-    let sim = BoundSimulator::new(nl).expect("valid");
+    let sim = SimProgram::compile(nl).expect("valid");
     let total = 1usize << num_inputs;
     let vectors: Vec<Vec<bool>> = (0..total)
         .map(|p| (0..num_inputs).map(|i| (p >> i) & 1 == 1).collect())
@@ -104,7 +102,7 @@ fn exhaustive_verdict(nl: &Netlist, fault: Fault, detect: bool) -> bool {
 fn cube_achieves(nl: &Netlist, cube: &htforge_atpg::Cube, fault: Fault, detect: bool) -> bool {
     for fill in [false, true] {
         let v = cube.fill_with(fill);
-        let sim = BoundSimulator::new(nl).expect("valid");
+        let sim = SimProgram::compile(nl).expect("valid");
         let ps = PatternSet::from_vectors(nl.inputs().len(), std::slice::from_ref(&v));
         let good = sim.run(&ps);
         if good.value(fault.node(), 0) != fault.excitation_value() {
@@ -220,7 +218,7 @@ proptest! {
             .map(|p| (0..num_inputs).map(|i| (p >> i) & 1 == 1).collect())
             .collect();
         let all = PatternSet::from_vectors(num_inputs, &vectors);
-        let good = BoundSimulator::new(&nl).expect("valid").run(&all);
+        let good = SimProgram::compile(&nl).expect("valid").run(&all);
         let mut podem = Podem::new(&nl, PodemConfig::justify()).expect("valid");
         for id in nl.node_ids() {
             for value in [false, true] {

@@ -14,16 +14,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use htforge_atpg::Cube;
-use htforge_core::insert::insert_trojan_with;
-use htforge_core::payload::choose_payload;
-use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TriggerPlan};
-use htforge_netlist::{netlist::NodeId, Netlist};
-use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, Tri};
+use htforge_core::InsertionError;
+use htforge_netlist::Netlist;
 
 use crate::validate::{find_joint_trigger, ValidationBudget};
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, Prologue};
 
 /// Configuration and driver for random insertion.
 ///
@@ -109,21 +104,15 @@ impl RandomInserter {
     /// (and a large [`BaselineOutcome::rejected`] count).
     pub fn run(&self, nl: &Netlist, seed: u64) -> Result<BaselineOutcome, InsertionError> {
         let start = Instant::now();
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
-        let scoap = Scoap::compute(nl)?;
-        let patterns = PatternSet::random(comb.inputs().len(), self.profile_vectors, seed);
-        let rare = RareNodeExtractor::new(self.theta).extract(&comb, &patterns)?;
-        if rare.len() < self.trigger_nodes {
-            return Err(InsertionError::NotEnoughRareNodes {
-                found: rare.len(),
-                needed: self.trigger_nodes,
-            });
-        }
-        let pool: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
+        let run = Prologue::new(
+            nl,
+            self.theta,
+            self.profile_vectors,
+            self.trigger_nodes,
+            self.max_fanin,
+            seed,
+        )?;
+        let pool = run.pool();
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
         let mut infected = Vec::new();
@@ -136,40 +125,27 @@ impl RandomInserter {
                 candidate.truncate(self.trigger_nodes);
 
                 let found = find_joint_trigger(
-                    &comb,
+                    &run.prog,
                     &candidate,
                     self.budget,
                     seed.wrapping_add((instance * 1_000 + attempt) as u64),
-                )?;
+                );
                 let Some(vector) = found else {
                     rejected += 1;
                     continue;
                 };
-
-                let rare_values: Vec<bool> = candidate.iter().map(|&(_, v)| v).collect();
-                let plan = TriggerPlan::synthesize(&rare_values, self.max_fanin);
-                let trigger_nodes: Vec<NodeId> = candidate.iter().map(|&(n, _)| n).collect();
-                let Some(payload) = choose_payload(
-                    nl,
-                    &scoap,
-                    &trigger_nodes,
-                    PayloadStrategy::Random(seed.wrapping_add(instance as u64)),
-                ) else {
-                    rejected += 1;
-                    continue;
-                };
-                let cube = Cube::from_tris(vector.iter().map(|&b| Tri::from_bool(b)).collect());
-                let (netlist, trojan) = insert_trojan_with(
-                    nl,
+                match run.emit(
                     &candidate,
-                    &plan,
-                    payload,
-                    PayloadKind::Flip,
+                    seed.wrapping_add(instance as u64),
                     &format!("rnd{instance}"),
-                    cube,
-                )?;
-                infected.push(InfectedDesign { netlist, trojan });
-                continue 'instances;
+                    Some(&vector),
+                )? {
+                    Some(design) => {
+                        infected.push(design);
+                        continue 'instances;
+                    }
+                    None => rejected += 1,
+                }
             }
             // All attempts for this instance failed; move on.
         }
@@ -185,7 +161,7 @@ impl RandomInserter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_sim::simulator::BoundSimulator;
+    use htforge_sim::{PatternSet, SimProgram};
 
     #[test]
     fn c17_random_insertion_validates() {
@@ -199,7 +175,7 @@ mod tests {
         for d in &outcome.infected {
             assert!(d.netlist.validate().is_ok());
             // The stored activation cube must actually fire the trigger.
-            let sim = BoundSimulator::new(&d.netlist).unwrap();
+            let sim = SimProgram::compile(&d.netlist).unwrap();
             let v = d.trojan.activation_cube.fill_with(false);
             let ps = PatternSet::from_vectors(nl.inputs().len(), &[v]);
             assert!(sim.run(&ps).value(d.trojan.trigger_output, 0));

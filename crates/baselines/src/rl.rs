@@ -19,16 +19,11 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use htforge_atpg::Cube;
-use htforge_core::insert::insert_trojan_with;
-use htforge_core::payload::choose_payload;
-use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TriggerPlan};
+use htforge_core::InsertionError;
 use htforge_netlist::{netlist::NodeId, Netlist};
-use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, Tri};
 
 use crate::validate::{count_joint_occurrences, find_joint_trigger, ValidationBudget};
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, Prologue};
 
 /// Hyper-parameters of the Q-learning inserter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,28 +121,22 @@ impl RlInserter {
     pub fn run(&self, nl: &Netlist, seed: u64) -> Result<BaselineOutcome, InsertionError> {
         let cfg = &self.config;
         let start = Instant::now();
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
-        let scoap = Scoap::compute(nl)?;
-        let patterns = PatternSet::random(comb.inputs().len(), cfg.profile_vectors, seed);
-        let rare = RareNodeExtractor::new(cfg.theta).extract(&comb, &patterns)?;
-        if rare.len() < cfg.trigger_nodes {
-            return Err(InsertionError::NotEnoughRareNodes {
-                found: rare.len(),
-                needed: cfg.trigger_nodes,
-            });
-        }
-        let pool: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
+        let run = Prologue::new(
+            nl,
+            cfg.theta,
+            cfg.profile_vectors,
+            cfg.trigger_nodes,
+            cfg.max_fanin,
+            seed,
+        )?;
+        let pool = run.pool();
 
         // Q-values seeded from SCOAP controllability toward the rare value
         // (normalized): harder nodes start more attractive.
         let mut q_values: Vec<f64> = pool
             .iter()
             .map(|&(n, v)| {
-                let cc = scoap.cc(n, v) as f64;
+                let cc = run.scoap.cc(n, v) as f64;
                 (cc / (cc + 10.0)).min(1.0) * 0.5
             })
             .collect();
@@ -161,11 +150,11 @@ impl RlInserter {
         for episode in 0..cfg.episodes {
             let set = self.select_set(&pool, &q_values, &mut rng);
             let found = find_joint_trigger(
-                &comb,
+                &run.prog,
                 &set,
                 cfg.budget,
                 seed.wrapping_add(episode as u64).wrapping_mul(0x85EB_CA6B),
-            )?;
+            );
             // ATTRITION-style composite reward: the set must be jointly
             // excitable (validation) *and* stealthy (its trigger must not
             // fire under a fresh random pattern set).
@@ -173,11 +162,11 @@ impl RlInserter {
                 (Some(_), 0) => true,
                 (Some(_), n) => {
                     count_joint_occurrences(
-                        &comb,
+                        &run.prog,
                         &set,
                         n,
                         (seed ^ 0x57EA).wrapping_add(episode as u64),
-                    )? == 0
+                    ) == 0
                 }
                 (None, _) => false,
             };
@@ -210,28 +199,12 @@ impl RlInserter {
 
         let mut infected = Vec::new();
         for (i, (set, vector)) in successes.iter().enumerate() {
-            let rare_values: Vec<bool> = set.iter().map(|&(_, v)| v).collect();
-            let plan = TriggerPlan::synthesize(&rare_values, cfg.max_fanin);
-            let trigger_nodes: Vec<NodeId> = set.iter().map(|&(n, _)| n).collect();
-            let Some(payload) = choose_payload(
-                nl,
-                &scoap,
-                &trigger_nodes,
-                PayloadStrategy::Random(seed.wrapping_add(i as u64)),
-            ) else {
-                continue;
-            };
-            let cube = Cube::from_tris(vector.iter().map(|&b| Tri::from_bool(b)).collect());
-            let (netlist, trojan) = insert_trojan_with(
-                nl,
+            infected.extend(run.emit(
                 set,
-                &plan,
-                payload,
-                PayloadKind::Flip,
+                seed.wrapping_add(i as u64),
                 &format!("rl{i}"),
-                cube,
-            )?;
-            infected.push(InfectedDesign { netlist, trojan });
+                Some(vector),
+            )?);
         }
 
         Ok(BaselineOutcome {
@@ -276,7 +249,7 @@ impl RlInserter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_sim::simulator::BoundSimulator;
+    use htforge_sim::{PatternSet, SimProgram};
 
     fn quick_config() -> RlConfig {
         RlConfig {
@@ -303,7 +276,7 @@ mod tests {
         assert!(!outcome.infected.is_empty(), "agent should find a set");
         for d in &outcome.infected {
             assert!(d.netlist.validate().is_ok());
-            let sim = BoundSimulator::new(&d.netlist).unwrap();
+            let sim = SimProgram::compile(&d.netlist).unwrap();
             let v = d.trojan.activation_cube.fill_with(false);
             let ps = PatternSet::from_vectors(nl.inputs().len(), &[v]);
             assert!(

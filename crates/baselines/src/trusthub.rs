@@ -13,16 +13,11 @@
 
 use std::time::Instant;
 
-use htforge_atpg::Cube;
-use htforge_core::insert::insert_trojan_with;
-use htforge_core::payload::choose_payload;
-use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TriggerPlan};
+use htforge_core::InsertionError;
 use htforge_netlist::{netlist::NodeId, Netlist};
-use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, Tri};
 
 use crate::validate::{find_joint_trigger, ValidationBudget};
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, Prologue};
 
 /// Maximum trigger-node count of the Trust-Hub / TRIT families.
 pub const TRUSTHUB_MAX_TRIGGER_NODES: usize = 7;
@@ -102,79 +97,45 @@ impl TrustHubInserter {
     /// is smaller than the trigger count; propagates netlist errors.
     pub fn run(&self, nl: &Netlist, seed: u64) -> Result<BaselineOutcome, InsertionError> {
         let start = Instant::now();
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
-        let scoap = Scoap::compute(nl)?;
-        let patterns = PatternSet::random(comb.inputs().len(), self.profile_vectors, seed);
-        let rare = RareNodeExtractor::new(self.theta).extract(&comb, &patterns)?;
-        if rare.len() < self.trigger_nodes {
-            return Err(InsertionError::NotEnoughRareNodes {
-                found: rare.len(),
-                needed: self.trigger_nodes,
-            });
-        }
+        let run = Prologue::new(
+            nl,
+            self.theta,
+            self.profile_vectors,
+            self.trigger_nodes,
+            self.max_fanin,
+            seed,
+        )?;
 
         // Rank by rare-event probability, *least-rare first*: manually
         // curated trojans pick signals flagged as hard-to-detect by
         // threshold tools, which clusters them near the rareness
         // threshold rather than in the deep tail — the reason Table II
         // shows the Trust-Hub family as partially detectable.
-        let mut pool: Vec<(NodeId, bool, u64)> = rare
-            .iter()
-            .map(|r| (r.node, r.rare_value, r.count))
-            .collect();
-        pool.sort_by_key(|&(_, _, count)| std::cmp::Reverse(count));
+        let mut ranked: Vec<_> = run.rare.iter().collect();
+        ranked.sort_by_key(|r| std::cmp::Reverse(r.count));
+        let pool: Vec<(NodeId, bool)> = ranked.iter().map(|r| (r.node, r.rare_value)).collect();
 
         let mut infected = Vec::new();
         let mut rejected = 0usize;
         for instance in 0..self.num_instances {
             // Sliding window over the ranked pool for instance diversity.
             let base = instance % (pool.len() - self.trigger_nodes + 1);
-            let window: Vec<(NodeId, bool)> = pool[base..base + self.trigger_nodes]
-                .iter()
-                .map(|&(n, v, _)| (n, v))
-                .collect();
-
+            let window = &pool[base..base + self.trigger_nodes];
             let found = find_joint_trigger(
-                &comb,
-                &window,
+                &run.prog,
+                window,
                 self.budget,
                 seed.wrapping_add(instance as u64),
-            )?;
+            );
             if found.is_none() {
                 rejected += 1;
             }
-
-            let rare_values: Vec<bool> = window.iter().map(|&(_, v)| v).collect();
-            let plan = TriggerPlan::synthesize(&rare_values, self.max_fanin);
-            let trigger_nodes: Vec<NodeId> = window.iter().map(|&(n, _)| n).collect();
-            let Some(payload) = choose_payload(
-                nl,
-                &scoap,
-                &trigger_nodes,
-                PayloadStrategy::Random(seed.wrapping_add(instance as u64)),
-            ) else {
-                continue;
-            };
-            let cube = match &found {
-                Some(vector) => {
-                    Cube::from_tris(vector.iter().map(|&b| Tri::from_bool(b)).collect())
-                }
-                None => Cube::all_x(comb.inputs().len()),
-            };
-            let (netlist, trojan) = insert_trojan_with(
-                nl,
-                &window,
-                &plan,
-                payload,
-                PayloadKind::Flip,
+            infected.extend(run.emit(
+                window,
+                seed.wrapping_add(instance as u64),
                 &format!("th{instance}"),
-                cube,
-            )?;
-            infected.push(InfectedDesign { netlist, trojan });
+                found.as_deref(),
+            )?);
         }
 
         Ok(BaselineOutcome {

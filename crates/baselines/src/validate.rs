@@ -6,8 +6,8 @@
 //! vector — the step the compatibility graph eliminates, and the source
 //! of the 10³–10⁴× insertion-time gap in the paper's Table III.
 
-use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
-use htforge_sim::{PatternSet, Simulator};
+use htforge_netlist::netlist::NodeId;
+use htforge_sim::{NodeValues, PatternSet, SimProgram};
 
 /// How much simulation effort to spend per validation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,110 +28,95 @@ impl Default for ValidationBudget {
 }
 
 /// Searches for one input vector that simultaneously drives every
-/// `(node, value)` pair in `targets`. Returns the vector if found within
-/// the budget.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+/// `(node, value)` pair in `targets`, simulating random batches on
+/// `prog` (compiled from the circuit's combinational model). Returns the
+/// vector if found within the budget.
 ///
 /// # Panics
 ///
 /// Panics if `targets` is empty or the budget has a zero batch size.
+#[must_use]
 pub fn find_joint_trigger(
-    nl: &Netlist,
+    prog: &SimProgram,
     targets: &[(NodeId, bool)],
     budget: ValidationBudget,
     seed: u64,
-) -> Result<Option<Vec<bool>>, NetlistError> {
+) -> Option<Vec<bool>> {
     assert!(!targets.is_empty(), "validation needs at least one target");
     assert!(budget.batch > 0, "batch size must be positive");
-    let sim = Simulator::new(nl)?;
-    let num_inputs = nl.inputs().len();
-
     let mut tried = 0usize;
     let mut batch_seed = seed;
     while tried < budget.vectors {
         let count = budget.batch.min(budget.vectors - tried);
-        let ps = PatternSet::random(num_inputs, count, batch_seed);
-        let vals = sim.run_on(nl, &ps);
-        // Joint hit: AND over all target columns (value-adjusted).
-        let words = PatternSet::words_for(count);
-        'word: for w in 0..words {
-            let mut hit = if w + 1 == words {
-                PatternSet::tail_mask(count)
-            } else {
-                u64::MAX
-            };
-            for &(node, value) in targets {
-                let v = vals.words(node)[w];
-                hit &= if value { v } else { !v };
-                if hit == 0 {
-                    continue 'word;
-                }
-            }
-            let bit = hit.trailing_zeros() as usize;
-            let pattern = w * 64 + bit;
-            return Ok(Some(ps.pattern(pattern)));
+        let ps = PatternSet::random(prog.num_inputs(), count, batch_seed);
+        let vals = prog.run(&ps);
+        let first = (0..PatternSet::words_for(count)).find_map(|w| {
+            let hit = joint_hits(&vals, targets, w);
+            (hit != 0).then(|| w * 64 + hit.trailing_zeros() as usize)
+        });
+        if let Some(pattern) = first {
+            return Some(ps.pattern(pattern));
         }
         tried += count;
         batch_seed = batch_seed
             .wrapping_add(0x9E37_79B9)
             .wrapping_mul(6364136223846793005);
     }
-    Ok(None)
+    None
 }
 
 /// Counts how many of `vectors` random input vectors simultaneously
-/// drive every `(node, value)` pair in `targets` — the *stealth* metric
-/// of ATTRITION-style RL rewards (a trigger combination that fires under
-/// random patterns is not stealthy).
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+/// drive every `(node, value)` pair in `targets` on `prog` — the
+/// *stealth* metric of ATTRITION-style RL rewards (a trigger combination
+/// that fires under random patterns is not stealthy).
 ///
 /// # Panics
 ///
 /// Panics if `targets` is empty.
+#[must_use]
 pub fn count_joint_occurrences(
-    nl: &Netlist,
+    prog: &SimProgram,
     targets: &[(NodeId, bool)],
     vectors: usize,
     seed: u64,
-) -> Result<usize, NetlistError> {
+) -> usize {
     assert!(
         !targets.is_empty(),
         "stealth check needs at least one target"
     );
-    let sim = Simulator::new(nl)?;
-    let ps = PatternSet::random(nl.inputs().len(), vectors, seed);
-    let vals = sim.run_on(nl, &ps);
-    let words = PatternSet::words_for(vectors);
-    let mut hits = 0usize;
-    for w in 0..words {
-        let mut hit = if w + 1 == words {
-            PatternSet::tail_mask(vectors)
-        } else {
-            u64::MAX
-        };
-        for &(node, value) in targets {
-            let v = vals.words(node)[w];
-            hit &= if value { v } else { !v };
-            if hit == 0 {
-                break;
-            }
+    let vals = prog.run(&PatternSet::random(prog.num_inputs(), vectors, seed));
+    (0..PatternSet::words_for(vectors))
+        .map(|w| joint_hits(&vals, targets, w).count_ones() as usize)
+        .sum()
+}
+
+/// The simulated patterns of word `w` that drive every target to its
+/// value: the AND over the value-adjusted target columns, with the tail
+/// beyond the last simulated pattern masked off.
+fn joint_hits(vals: &NodeValues, targets: &[(NodeId, bool)], w: usize) -> u64 {
+    let mut hit = if w + 1 == PatternSet::words_for(vals.len()) {
+        PatternSet::tail_mask(vals.len())
+    } else {
+        u64::MAX
+    };
+    for &(node, value) in targets {
+        let v = vals.words(node)[w];
+        hit &= if value { v } else { !v };
+        if hit == 0 {
+            break;
         }
-        hits += hit.count_ones() as usize;
     }
-    Ok(hits)
+    hit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_netlist::bench;
-    use htforge_sim::simulator::BoundSimulator;
+    use htforge_netlist::{bench, Netlist};
+
+    fn compile(nl: &Netlist) -> SimProgram {
+        SimProgram::compile(nl).unwrap()
+    }
 
     #[test]
     fn finds_satisfiable_joint_trigger() {
@@ -147,12 +132,11 @@ y = AND(c, d)
 ";
         let nl = bench::parse(src, "t").unwrap();
         let targets = vec![(nl.find("x").unwrap(), true), (nl.find("y").unwrap(), true)];
-        let v = find_joint_trigger(&nl, &targets, ValidationBudget::default(), 1)
-            .unwrap()
+        let prog = compile(&nl);
+        let v = find_joint_trigger(&prog, &targets, ValidationBudget::default(), 1)
             .expect("1/16 probability: findable");
         // Verify by simulation.
-        let sim = BoundSimulator::new(&nl).unwrap();
-        let vals = sim.run(&PatternSet::from_vectors(4, &[v]));
+        let vals = prog.run(&PatternSet::from_vectors(4, &[v]));
         for &(n, want) in &targets {
             assert_eq!(vals.value(n, 0), want);
         }
@@ -171,21 +155,18 @@ y = AND(c, d)
             vectors: 1_000,
             batch: 128,
         };
-        assert!(find_joint_trigger(&nl, &targets, budget, 2)
-            .unwrap()
-            .is_none());
+        assert!(find_joint_trigger(&compile(&nl), &targets, budget, 2).is_none());
     }
 
     #[test]
     fn single_target_trivial() {
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "t").unwrap();
         let v = find_joint_trigger(
-            &nl,
+            &compile(&nl),
             &[(nl.find("y").unwrap(), true)],
             ValidationBudget::default(),
             3,
         )
-        .unwrap()
         .unwrap();
         assert!(!v[0]); // y = 1 requires a = 0
     }
@@ -194,7 +175,8 @@ y = AND(c, d)
     fn occurrence_count_matches_probability() {
         // y = AND(a, b): P(joint) = 1/4 → ~256 hits in 1024 vectors.
         let nl = bench::parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "t").unwrap();
-        let hits = count_joint_occurrences(&nl, &[(nl.find("y").unwrap(), true)], 1024, 5).unwrap();
+        let hits =
+            count_joint_occurrences(&compile(&nl), &[(nl.find("y").unwrap(), true)], 1024, 5);
         assert!((180..340).contains(&hits), "hits = {hits}");
     }
 
@@ -203,15 +185,14 @@ y = AND(c, d)
         let src = "INPUT(a)\nOUTPUT(y)\nx = BUF(a)\nnx = NOT(a)\ny = AND(x, nx)\n";
         let nl = bench::parse(src, "t").unwrap();
         let hits = count_joint_occurrences(
-            &nl,
+            &compile(&nl),
             &[
                 (nl.find("x").unwrap(), true),
                 (nl.find("nx").unwrap(), true),
             ],
             1000,
             6,
-        )
-        .unwrap();
+        );
         assert_eq!(hits, 0);
     }
 
@@ -228,7 +209,7 @@ y = AND(c, d)
         // With 7 vectors the search may or may not find a=b=1; it must
         // never panic or return an out-of-range pattern.
         if let Some(v) =
-            find_joint_trigger(&nl, &[(nl.find("y").unwrap(), true)], budget, 4).unwrap()
+            find_joint_trigger(&compile(&nl), &[(nl.find("y").unwrap(), true)], budget, 4)
         {
             assert_eq!(v.len(), 2);
             assert!(v[0] && v[1]);

@@ -32,11 +32,7 @@ fn main() {
     let vectors = if opts.full { 10_000 } else { 4_000 };
 
     let nl = htforge_circuits::load(&circuit).expect("known circuit");
-    let comb = if nl.dffs().is_empty() {
-        nl.clone()
-    } else {
-        nl.scan_cut()
-    };
+    let comb = nl.scan_cut();
     let patterns = PatternSet::random(comb.inputs().len(), vectors, 0xAB1A);
     let rare = RareNodeExtractor::new(0.20)
         .extract(&comb, &patterns)

@@ -62,11 +62,7 @@ fn main() {
     // ---- Large batch: scalar vs compiled ----------------------------
     for name in ["c2670", "c5315", "c6288", "s13207"] {
         let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
+        let comb = nl.scan_cut();
         let prog = SimProgram::compile(&comb).expect("combinational");
         let patterns = PatternSet::random(comb.inputs().len(), VECTORS, 9);
 

@@ -26,11 +26,7 @@ fn main() {
     let mut fraction_sums = vec![0.0f64; thetas.len()];
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
+        let comb = nl.scan_cut();
         let patterns = PatternSet::random(comb.inputs().len(), vectors, 0xF162);
         let mut row = vec![name.clone(), comb.node_count().to_string()];
         for (k, &theta) in thetas.iter().enumerate() {

@@ -27,11 +27,7 @@ fn main() {
 
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
+        let comb = nl.scan_cut();
         let mut row = vec![name.clone()];
         let mut last_two = (usize::MAX, usize::MAX);
         for &v in &sweep {

@@ -135,11 +135,7 @@ struct Params {
 fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
     htforge_obs::global().reset();
     let nl = htforge_circuits::load(name).map_err(|e| e.to_string())?;
-    let comb = if nl.dffs().is_empty() {
-        nl.clone()
-    } else {
-        nl.scan_cut()
-    };
+    let comb = nl.scan_cut();
     let profile = PatternSet::random(comb.inputs().len(), p.vectors, 0x7AB2);
     let rare = RareNodeExtractor::new(0.20)
         .extract(&comb, &profile)

@@ -97,11 +97,7 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
     // before the (untimed-phase) baselines muddy the water.
     htforge_obs::global().reset();
     let nl = htforge_circuits::load(name).map_err(|e| e.to_string())?;
-    let comb = if nl.dffs().is_empty() {
-        nl.clone()
-    } else {
-        nl.scan_cut()
-    };
+    let comb = nl.scan_cut();
 
     // --- proposed: run to completion at its feasible large q --------
     let probe_patterns = PatternSet::random(comb.inputs().len(), p.vectors, 0x733);

@@ -50,11 +50,7 @@ fn main() {
 
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
+        let comb = nl.scan_cut();
         let start = Instant::now();
         let patterns = PatternSet::random(comb.inputs().len(), vectors, 0x7AB4);
         let rare = RareNodeExtractor::new(0.20)

@@ -148,12 +148,12 @@ pub fn multiplier(name: &str, bits: usize) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_sim::{simulator::BoundSimulator, PatternSet};
+    use htforge_sim::{PatternSet, SimProgram};
 
     fn check_products(bits: usize, cases: &[(u64, u64)]) {
         let nl = multiplier("m", bits);
         assert!(nl.validate().is_ok());
-        let sim = BoundSimulator::new(&nl).unwrap();
+        let sim = SimProgram::compile(&nl).unwrap();
         let vectors: Vec<Vec<bool>> = cases
             .iter()
             .map(|&(x, y)| {

@@ -14,11 +14,11 @@ use htforge_obs::{DegradationNote, RunBudget};
 use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, RareNodeSet};
 
-use crate::clique::{enumerate_cliques_budgeted, sample_cliques_budgeted, Clique};
+use crate::clique::{enumerate_cliques_budgeted, sample_cliques_budgeted};
 use crate::compat::CompatGraph;
 use crate::error::InsertionError;
-use crate::insert::{insert_trojan_with, TrojanInstance};
-use crate::payload::{choose_payload, PayloadKind, PayloadStrategy};
+use crate::insert::{insert_trojan_with, TrojanEmitter, TrojanInstance};
+use crate::payload::{PayloadKind, PayloadStrategy};
 use crate::trigger::TriggerPlan;
 
 /// The budgeted phases, in stage order. (Preprocess and validation run
@@ -246,11 +246,7 @@ impl InsertionFramework {
 
         // Phase 0: combinational model.
         let t0 = htforge_obs::span("preprocess");
-        let comb = if nl.dffs().is_empty() {
-            nl.clone()
-        } else {
-            nl.scan_cut()
-        };
+        let comb = nl.scan_cut();
         let scoap = Scoap::compute(nl)?;
         timings.preprocess = t0.finish();
 
@@ -388,6 +384,12 @@ impl InsertionFramework {
         // The last stage inherits the entire remainder (its weight is
         // the tail of the sequence), so this equals the parent budget.
         let insertion_budget = stages.next_stage();
+        let emitter = TrojanEmitter {
+            host: nl,
+            scoap: &scoap,
+            max_fanin: cfg.max_fanin,
+            payload_kind: cfg.payload_kind,
+        };
         let mut infected = Vec::with_capacity(cliques.len());
         let mut stopped_at = None;
         for (i, clique) in cliques.iter().enumerate() {
@@ -396,7 +398,24 @@ impl InsertionFramework {
                 break;
             }
             htforge_obs::faultpoint!("insert.instance");
-            match self.insert_one(nl, &graph, clique, &scoap, i) {
+            let leaves: Vec<(NodeId, bool)> = clique
+                .members
+                .iter()
+                .map(|&m| {
+                    let e = &graph.events()[m];
+                    (e.node, e.rare_value)
+                })
+                .collect();
+            let payload = match cfg.payload {
+                PayloadStrategy::Random(s) => PayloadStrategy::Random(s.wrapping_add(i as u64)),
+                other => other,
+            };
+            match emitter.emit(
+                &leaves,
+                payload,
+                &i.to_string(),
+                clique.activation_cube.clone(),
+            ) {
                 Ok(design) => infected.push(design),
                 // A clique without a safe payload is skipped, not fatal —
                 // unless *no* clique works.
@@ -537,51 +556,6 @@ impl InsertionFramework {
         v.finish();
         Ok((combined, instances, outcome.degradations))
     }
-
-    fn insert_one(
-        &self,
-        nl: &Netlist,
-        graph: &CompatGraph,
-        clique: &Clique,
-        scoap: &Scoap,
-        index: usize,
-    ) -> Result<InfectedDesign, InsertionError> {
-        let rare_values: Vec<bool> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].rare_value)
-            .collect();
-        let plan = TriggerPlan::synthesize(&rare_values, self.config.max_fanin);
-        let trigger_nodes: Vec<NodeId> = clique
-            .members
-            .iter()
-            .map(|&m| graph.events()[m].node)
-            .collect();
-        let strategy = match self.config.payload {
-            PayloadStrategy::Random(s) => PayloadStrategy::Random(s.wrapping_add(index as u64)),
-            other => other,
-        };
-        let payload = choose_payload(nl, scoap, &trigger_nodes, strategy)
-            .ok_or(InsertionError::NoPayloadNet)?;
-        let leaves: Vec<(NodeId, bool)> = clique
-            .members
-            .iter()
-            .map(|&m| {
-                let e = &graph.events()[m];
-                (e.node, e.rare_value)
-            })
-            .collect();
-        let (netlist, trojan) = insert_trojan_with(
-            nl,
-            &leaves,
-            &plan,
-            payload,
-            self.config.payload_kind,
-            &index.to_string(),
-            clique.activation_cube.clone(),
-        )?;
-        Ok(InfectedDesign { netlist, trojan })
-    }
 }
 
 /// Functional validation of one emitted design: under its activation
@@ -589,11 +563,7 @@ impl InsertionFramework {
 /// gate must show the configured effect (`Flip` inverts the victim net,
 /// `ForceZero`/`ForceOne` pin it). One 1-pattern kernel run checks both.
 fn validate_functional(design: &InfectedDesign, index: usize) -> Result<(), InsertionError> {
-    let cut = if design.netlist.dffs().is_empty() {
-        design.netlist.clone()
-    } else {
-        design.netlist.scan_cut()
-    };
+    let cut = design.netlist.scan_cut();
     let trojan = &design.trojan;
     let vector = trojan.activation_cube.fill_with(false);
     assert_eq!(
@@ -646,8 +616,7 @@ fn sorted_members(members: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_sim::simulator::BoundSimulator;
-    use htforge_sim::Tri;
+    use htforge_sim::{SimProgram, Tri};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -768,7 +737,7 @@ mod tests {
         let outcome = InsertionFramework::new(cfg).run(&nl).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         for design in &outcome.infected {
-            let sim = BoundSimulator::new(&design.netlist).unwrap();
+            let sim = SimProgram::compile(&design.netlist).unwrap();
             let v = design.trojan.activation_cube.fill_random(&mut rng);
             let ps = PatternSet::from_vectors(nl.inputs().len(), &[v]);
             let vals = sim.run(&ps);
@@ -845,7 +814,7 @@ mod tests {
         assert_eq!(combined.node_count(), nl.node_count() + added);
         // Every instance's trigger fires under its own cube.
         for t in &instances {
-            let sim = BoundSimulator::new(&combined).unwrap();
+            let sim = SimProgram::compile(&combined).unwrap();
             let v = t.activation_cube.fill_with(false);
             let ps = PatternSet::from_vectors(nl.inputs().len(), &[v]);
             assert!(sim.run(&ps).value(t.trigger_output, 0));
@@ -867,7 +836,7 @@ mod tests {
             let outcome = InsertionFramework::new(cfg).run(&nl).unwrap();
             let design = &outcome.infected[0];
             assert_eq!(design.trojan.payload_kind, kind);
-            let sim = BoundSimulator::new(&design.netlist).unwrap();
+            let sim = SimProgram::compile(&design.netlist).unwrap();
             let v = design.trojan.activation_cube.fill_with(false);
             let ps = PatternSet::from_vectors(nl.inputs().len(), &[v]);
             let vals = sim.run(&ps);
@@ -916,7 +885,7 @@ mod tests {
             }
         }
         let v = design.trojan.activation_cube.fill_with(false);
-        let vals = BoundSimulator::new(&design.netlist)
+        let vals = SimProgram::compile(&design.netlist)
             .unwrap()
             .run(&PatternSet::from_vectors(v.len(), &[v]));
         assert!(!vals.value(design.trojan.trigger_output, 0), "precondition");

@@ -4,12 +4,16 @@
 //! its leaves to the clique's rare nodes (rare-1 nodes into the AND
 //! family, rare-0 nodes into the OR family — the careful alignment of
 //! §III-D), and splices an XOR payload over the chosen payload net.
+//! [`TrojanEmitter`] strings the steps together (plan → payload →
+//! insertion) for the framework and the baseline inserters alike.
 
 use htforge_atpg::Cube;
 use htforge_netlist::{netlist::NodeId, GateKind, Netlist};
+use htforge_scoap::Scoap;
 
 use crate::error::InsertionError;
-use crate::payload::PayloadKind;
+use crate::framework::InfectedDesign;
+use crate::payload::{choose_payload, PayloadKind, PayloadStrategy};
 use crate::trigger::{PlanSignal, TriggerPlan};
 
 /// Everything known about one inserted trojan.
@@ -47,6 +51,59 @@ impl TrojanInstance {
             PayloadKind::ForceZero => 2, // inverter + AND
         };
         self.trigger_gates.len() + payload_gates
+    }
+}
+
+/// How a trigger set becomes an infected design: the host, its SCOAP
+/// measures and the per-run trojan shape, fixed once per campaign.
+#[derive(Debug, Clone, Copy)]
+pub struct TrojanEmitter<'a> {
+    /// The golden host netlist.
+    pub host: &'a Netlist,
+    /// SCOAP measures of `host` (payload ranking).
+    pub scoap: &'a Scoap,
+    /// Maximum fan-in of the trigger gates (`k`).
+    pub max_fanin: usize,
+    /// Payload effect spliced over the victim net.
+    pub payload_kind: PayloadKind,
+}
+
+impl TrojanEmitter<'_> {
+    /// Synthesizes the trigger tree over `leaves` (rare node, rare
+    /// value), chooses the payload net by `payload` and inserts both into
+    /// a copy of the host, tagging inserted signals `ht{tag}_…`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InsertionError::NoPayloadNet`] when no payload net is
+    /// acyclicity-safe for these leaves, and the errors of
+    /// [`insert_trojan_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` is empty.
+    pub fn emit(
+        &self,
+        leaves: &[(NodeId, bool)],
+        payload: PayloadStrategy,
+        tag: &str,
+        activation_cube: Cube,
+    ) -> Result<InfectedDesign, InsertionError> {
+        let rare_values: Vec<bool> = leaves.iter().map(|&(_, v)| v).collect();
+        let plan = TriggerPlan::synthesize(&rare_values, self.max_fanin);
+        let nodes: Vec<NodeId> = leaves.iter().map(|&(n, _)| n).collect();
+        let payload_net = choose_payload(self.host, self.scoap, &nodes, payload)
+            .ok_or(InsertionError::NoPayloadNet)?;
+        let (netlist, trojan) = insert_trojan_with(
+            self.host,
+            leaves,
+            &plan,
+            payload_net,
+            self.payload_kind,
+            tag,
+            activation_cube,
+        )?;
+        Ok(InfectedDesign { netlist, trojan })
     }
 }
 
@@ -166,8 +223,7 @@ mod tests {
     use crate::compat::CompatGraph;
     use htforge_atpg::PodemConfig;
     use htforge_netlist::bench;
-    use htforge_sim::simulator::BoundSimulator;
-    use htforge_sim::{PatternSet, RareNodeExtractor};
+    use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -246,8 +302,8 @@ o = XOR(a1, b1)
         let vector = trojan.activation_cube.fill_random(&mut rng);
 
         // Golden vs infected on the activation vector.
-        let golden_sim = BoundSimulator::new(&nl).unwrap();
-        let infected_sim = BoundSimulator::new(&infected).unwrap();
+        let golden_sim = SimProgram::compile(&nl).unwrap();
+        let infected_sim = SimProgram::compile(&infected).unwrap();
         let ps = PatternSet::from_vectors(nl.inputs().len(), &[vector]);
         let gv = golden_sim.run(&ps);
         let iv = infected_sim.run(&ps);
@@ -266,8 +322,8 @@ o = XOR(a1, b1)
     fn non_activating_vectors_leave_outputs_untouched() {
         let (nl, infected, trojan) = infect();
 
-        let golden_sim = BoundSimulator::new(&nl).unwrap();
-        let infected_sim = BoundSimulator::new(&infected).unwrap();
+        let golden_sim = SimProgram::compile(&nl).unwrap();
+        let infected_sim = SimProgram::compile(&infected).unwrap();
         let ps = PatternSet::random(nl.inputs().len(), 2_000, 5);
         let gv = golden_sim.run(&ps);
         let iv = infected_sim.run(&ps);

@@ -56,6 +56,6 @@ pub use framework::{
     InfectedDesign, InsertionConfig, InsertionFramework, InsertionOutcome, PhaseTimings,
     DEFAULT_STAGE_WEIGHTS, STAGED_PHASES,
 };
-pub use insert::TrojanInstance;
+pub use insert::{TrojanEmitter, TrojanInstance};
 pub use payload::{PayloadKind, PayloadStrategy};
 pub use trigger::TriggerPlan;

@@ -88,11 +88,7 @@ impl CoverageEvaluator {
     ///
     /// Returns [`NetlistError`] for cyclic netlists.
     pub fn new(golden: &Netlist) -> Result<Self, NetlistError> {
-        let golden_cut = if golden.dffs().is_empty() {
-            golden.clone()
-        } else {
-            golden.scan_cut()
-        };
+        let golden_cut = golden.scan_cut();
         let golden_sim = Simulator::new(&golden_cut)?;
         Ok(CoverageEvaluator {
             golden_cut,
@@ -126,11 +122,7 @@ impl CoverageEvaluator {
         for (i, design) in designs.iter().enumerate() {
             let graded = htforge_obs::isolate(&format!("design {i}"), || {
                 htforge_obs::faultpoint!("detect.design");
-                let infected_cut = if design.netlist.dffs().is_empty() {
-                    design.netlist.clone()
-                } else {
-                    design.netlist.scan_cut()
-                };
+                let infected_cut = design.netlist.scan_cut();
                 assert_eq!(
                     infected_cut.outputs().len(),
                     golden_cut.outputs().len(),

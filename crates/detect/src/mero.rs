@@ -170,11 +170,12 @@ impl MeroDetection {
         let _span = htforge_obs::span("mero");
         let events: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let num_inputs = golden.inputs().len();
-        let pool = PatternSet::random(num_inputs, self.initial_vectors, self.seed);
+        let mut tests = PatternSet::zeros(num_inputs, 0);
         if events.is_empty() {
-            // Degenerate profile (no rare events): the pool is the test set.
-            return pool;
+            // No rare events: nothing to excite, so nothing to keep.
+            return tests;
         }
+        let pool = PatternSet::random(num_inputs, self.initial_vectors, self.seed);
 
         // Seed pool, sorted by satisfied-event count (descending) as in
         // the original algorithm.
@@ -185,7 +186,6 @@ impl MeroDetection {
         });
 
         let mut counts = vec![0usize; events.len()];
-        let mut tests = PatternSet::zeros(num_inputs, 0);
         let mut workers = vec![(); threads];
         'pool: for block in order.chunks(threads * CLIMBS_PER_WORKER) {
             let climbs = htforge_obs::map_indexed(&mut workers, block.len(), |(), i| {
@@ -203,11 +203,6 @@ impl MeroDetection {
                     tests.push(&vector);
                 }
             }
-        }
-
-        if tests.is_empty() {
-            // No vector excites any rare event: fall back to the pool.
-            return pool;
         }
         tests
     }
@@ -278,12 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_rare_profile_falls_back_to_random() {
+    fn empty_rare_profile_yields_no_tests() {
         let nl = htforge_circuits::load("c17").unwrap();
         let tests = MeroDetection::new(3, 50, 9)
             .generate_tests(&nl, &RareNodeSet::default())
             .unwrap();
-        assert_eq!(tests.len(), 50);
+        assert!(tests.is_empty());
+        assert_eq!(tests.num_inputs(), nl.inputs().len());
     }
 
     #[test]

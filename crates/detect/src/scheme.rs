@@ -13,7 +13,9 @@ pub trait DetectionScheme {
     /// Human-readable scheme name (used in report tables).
     fn name(&self) -> &str;
 
-    /// Generates the test set.
+    /// Generates the test set: exactly the patterns the scheme produced,
+    /// so a profile with nothing to target yields an empty set rather
+    /// than substitute vectors.
     ///
     /// # Errors
     ///

@@ -712,8 +712,15 @@ impl Netlist {
     ///
     /// The returned netlist contains no `Dff` nodes, so it is a pure DAG of
     /// gates suitable for bit-parallel simulation and PODEM.
+    ///
+    /// A netlist without DFFs is already its own combinational model: it
+    /// comes back as an unchanged clone, keeping its name and its cached
+    /// levels, so callers need not branch on [`Netlist::dffs`].
     #[must_use]
     pub fn scan_cut(&self) -> Netlist {
+        if self.dffs.is_empty() {
+            return self.clone();
+        }
         let mut out = self.clone();
         out.name = format!("{}_scan", self.name);
         out.touch();
@@ -943,6 +950,17 @@ mod tests {
         // Ids stable:
         assert_eq!(cut.find("q"), Some(q));
         assert_eq!(cut.find("g"), Some(g));
+    }
+
+    #[test]
+    fn scan_cut_of_a_dff_free_netlist_is_an_unchanged_clone() {
+        let nl = half_adder();
+        let levels = nl.levels().unwrap().to_vec();
+        let cut = nl.scan_cut();
+        assert_eq!(cut.name(), nl.name());
+        assert_eq!(cut.inputs(), nl.inputs());
+        assert_eq!(cut.outputs(), nl.outputs());
+        assert_eq!(cut.levels().unwrap(), levels.as_slice());
     }
 
     #[test]

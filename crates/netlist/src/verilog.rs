@@ -99,12 +99,13 @@ pub fn write(nl: &Netlist) -> String {
 
     let mut ports: Vec<String> = ins.clone();
     ports.extend(outs.iter().cloned());
-    if !nl.dffs().is_empty() {
+    let clocked = !nl.dffs().is_empty();
+    if clocked {
         ports.insert(0, "clk".to_owned());
     }
     let _ = writeln!(out, "// generated by htforge");
     let _ = writeln!(out, "module {module}({});", ports.join(", "));
-    if !nl.dffs().is_empty() {
+    if clocked {
         let _ = writeln!(out, "  input clk;");
     }
     for i in &ins {
@@ -119,10 +120,8 @@ pub fn write(nl: &Netlist) -> String {
             let _ = writeln!(out, "  wire {};", sanitize_identifier(node.name()));
         }
     }
-    if !nl.dffs().is_empty() {
-        for &q in nl.dffs() {
-            let _ = writeln!(out, "  reg {}_r;", sanitize_identifier(nl.node(q).name()));
-        }
+    for &q in nl.dffs() {
+        let _ = writeln!(out, "  reg {}_r;", sanitize_identifier(nl.node(q).name()));
     }
 
     let mut inst = 0usize;

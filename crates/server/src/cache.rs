@@ -4,9 +4,10 @@
 //! skip the expensive prefix: `.bench` parsing, scan-cutting, and
 //! `SimProgram` compilation happen once per *content hash* (see
 //! [`CircuitSource::content_hash`]) and every later job shares the
-//! result through [`Arc`]s ([`BoundSimulator::from_arc`] — no netlist
-//! copy either). Rare-node profiles are cached per `(θ, vectors, seed)`
-//! on top, since `grade`/`detect` jobs re-profile identically.
+//! result through [`Arc`]s (a DFF-free design is its own combinational
+//! view, so no netlist copy either). Rare-node profiles are cached per
+//! `(θ, vectors, seed)` on top, since `grade`/`detect` jobs re-profile
+//! identically.
 //!
 //! Compilation happens *under the map lock*: two racing jobs on the
 //! same new circuit never compile twice (the concurrency differential
@@ -18,7 +19,7 @@ use std::sync::{Arc, Mutex};
 
 use htforge_circuits as circuits;
 use htforge_netlist::{bench, Netlist};
-use htforge_sim::{simulator::BoundSimulator, PatternSet, RareNodeExtractor, RareNodeSet};
+use htforge_sim::{PatternSet, RareNodeExtractor, RareNodeSet, SimProgram};
 
 use crate::protocol::CircuitSource;
 
@@ -31,8 +32,9 @@ pub struct CompiledCircuit {
     pub golden: Arc<Netlist>,
     /// Combinational view: `golden` itself, or its scan cut.
     pub comb: Arc<Netlist>,
-    /// Simulator compiled over `comb` (shared, thread-safe to run).
-    pub sim: BoundSimulator,
+    /// Simulation program compiled over `comb` (shared, thread-safe to
+    /// run).
+    pub sim: SimProgram,
     rare: Mutex<HashMap<RareKey, Arc<RareNodeSet>>>,
 }
 
@@ -183,7 +185,7 @@ fn compile(src: &CircuitSource) -> Result<CompiledCircuit, String> {
     } else {
         Arc::new(golden.scan_cut())
     };
-    let sim = BoundSimulator::from_arc(Arc::clone(&comb)).map_err(|e| e.to_string())?;
+    let sim = SimProgram::compile(&comb).map_err(|e| e.to_string())?;
     Ok(CompiledCircuit {
         label: src.label(),
         golden,

@@ -139,71 +139,6 @@ impl Simulator {
     }
 }
 
-/// A simulator that shares ownership of its netlist (via [`Arc`](std::sync::Arc)), for
-/// ergonomic repeated runs. [`BoundSimulator::new`] pays one netlist
-/// clone to take ownership; [`BoundSimulator::from_arc`] pays none —
-/// large-circuit campaigns that already hold an `Arc<Netlist>` get a
-/// simulator without copying the graph.
-///
-/// # Examples
-///
-/// ```
-/// use htforge_netlist::bench;
-/// use htforge_sim::{PatternSet, simulator::BoundSimulator};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "t")?;
-/// let sim = BoundSimulator::new(&nl)?;
-/// let vals = sim.run(&PatternSet::from_vectors(1, &[vec![false]]));
-/// assert!(vals.value(nl.find("y").unwrap(), 0));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct BoundSimulator {
-    nl: std::sync::Arc<Netlist>,
-    inner: Simulator,
-}
-
-impl BoundSimulator {
-    /// Builds a simulator that owns a clone of `nl`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] if `nl` is cyclic.
-    pub fn new(nl: &Netlist) -> Result<Self, NetlistError> {
-        Self::from_arc(std::sync::Arc::new(nl.clone()))
-    }
-
-    /// Builds a simulator sharing an already-owned netlist — no graph
-    /// copy at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] if the netlist is
-    /// cyclic.
-    pub fn from_arc(nl: std::sync::Arc<Netlist>) -> Result<Self, NetlistError> {
-        let inner = Simulator::new(&nl)?;
-        Ok(BoundSimulator { nl, inner })
-    }
-
-    /// The shared netlist.
-    #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        &self.nl
-    }
-
-    /// Simulates `patterns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width does not match the input count.
-    #[must_use]
-    pub fn run(&self, patterns: &PatternSet) -> NodeValues {
-        self.inner.run_on(&self.nl, patterns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +174,7 @@ OUTPUT(23)
     #[test]
     fn c17_exhaustive_against_reference() {
         let nl = bench::parse(C17, "c17").unwrap();
-        let sim = BoundSimulator::new(&nl).unwrap();
+        let sim = SimProgram::compile(&nl).unwrap();
         let vectors: Vec<Vec<bool>> = (0u32..32)
             .map(|p| (0..5).map(|i| (p >> i) & 1 == 1).collect())
             .collect();
@@ -258,7 +193,7 @@ OUTPUT(23)
     #[test]
     fn count_ones_is_exact_with_tail() {
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n", "t").unwrap();
-        let sim = BoundSimulator::new(&nl).unwrap();
+        let sim = SimProgram::compile(&nl).unwrap();
         // 70 patterns: 35 ones in column a.
         let vectors: Vec<Vec<bool>> = (0..70).map(|p| vec![p % 2 == 0]).collect();
         let ps = PatternSet::from_vectors(1, &vectors);
@@ -272,7 +207,7 @@ OUTPUT(23)
         // NOT of constant-0 column is all ones — tail beyond len must not
         // leak into count_ones.
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "t").unwrap();
-        let sim = BoundSimulator::new(&nl).unwrap();
+        let sim = SimProgram::compile(&nl).unwrap();
         let ps = PatternSet::zeros(1, 3);
         let vals = sim.run(&ps);
         assert_eq!(vals.count_ones(nl.find("y").unwrap()), 3);
@@ -287,7 +222,7 @@ g = XOR(a, q)
 q = DFF(g)
 ";
         let nl = bench::parse(src, "seq").unwrap().scan_cut();
-        let sim = BoundSimulator::new(&nl).unwrap();
+        let sim = SimProgram::compile(&nl).unwrap();
         // inputs: [a, q]
         let ps = PatternSet::from_vectors(2, &[vec![true, true], vec![true, false]]);
         let vals = sim.run(&ps);
@@ -300,7 +235,7 @@ q = DFF(g)
     #[should_panic(expected = "pattern width")]
     fn wrong_width_panics() {
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n", "t").unwrap();
-        let sim = BoundSimulator::new(&nl).unwrap();
+        let sim = SimProgram::compile(&nl).unwrap();
         let _ = sim.run(&PatternSet::zeros(2, 4));
     }
 }

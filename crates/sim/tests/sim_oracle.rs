@@ -4,9 +4,8 @@
 use proptest::prelude::*;
 
 use htforge_netlist::{graph, GateKind, Netlist, NodeId, NodeKind};
-use htforge_sim::simulator::BoundSimulator;
 use htforge_sim::tri::{eval_gate_tri, simulate_tri};
-use htforge_sim::{PatternSet, Tri};
+use htforge_sim::{PatternSet, SimProgram, Tri};
 
 fn build_random_netlist(num_inputs: usize, script: &[u8]) -> Netlist {
     let mut nl = Netlist::new("rand");
@@ -67,7 +66,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let nl = build_random_netlist(num_inputs, &script);
-        let sim = BoundSimulator::new(&nl).expect("acyclic");
+        let sim = SimProgram::compile(&nl).expect("acyclic");
         let ps = PatternSet::random(num_inputs, 100, seed);
         let vals = sim.run(&ps);
         for p in [0usize, 50, 99] {

@@ -21,11 +21,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .unwrap_or_else(|| "c2670".to_owned());
     let golden = htforge::circuits::load(&circuit)?;
     println!("host: {golden}");
-    let comb = if golden.dffs().is_empty() {
-        golden.clone()
-    } else {
-        golden.scan_cut()
-    };
+    let comb = golden.scan_cut();
 
     // --- generate trojans with each family -----------------------------
     let instances = 10;

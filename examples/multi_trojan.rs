@@ -11,8 +11,7 @@ use std::error::Error;
 
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadKind};
 use htforge::netlist::bench;
-use htforge::sim::simulator::BoundSimulator;
-use htforge::sim::PatternSet;
+use htforge::sim::{PatternSet, SimProgram};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let circuit = std::env::args()
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             combined.node_count() - golden.node_count()
         );
 
-        let sim = BoundSimulator::new(&combined)?;
+        let sim = SimProgram::compile(&combined)?;
         for (i, trojan) in instances.iter().enumerate() {
             // Fire each trojan with its own activation cube and check
             // that exactly the right trigger asserts.

@@ -164,11 +164,7 @@ fn cmd_rare(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let theta = theta(opts)?;
     let vectors: usize = opts.number("vectors", 10_000)?;
     let nl = load_netlist(spec)?;
-    let comb = if nl.dffs().is_empty() {
-        nl.clone()
-    } else {
-        nl.scan_cut()
-    };
+    let comb = nl.scan_cut();
     let patterns = PatternSet::random(comb.inputs().len(), vectors, 1);
     let rare = RareNodeExtractor::new(theta).extract(&comb, &patterns)?;
     println!(
@@ -278,11 +274,7 @@ fn cmd_insert(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
 fn cmd_grade(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let n: usize = opts.number("n", 5)?;
     let nl = load_netlist(spec)?;
-    let comb = if nl.dffs().is_empty() {
-        nl.clone()
-    } else {
-        nl.scan_cut()
-    };
+    let comb = nl.scan_cut();
     let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
     let rare = RareNodeExtractor::new(0.20).extract(&comb, &patterns)?;
 
@@ -316,11 +308,7 @@ fn cmd_detect(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         .ok_or("detect requires --infected FILE[,FILE...]")?;
     let n: usize = opts.number("n", 5)?;
     let golden = load_netlist(spec)?;
-    let comb = if golden.dffs().is_empty() {
-        golden.clone()
-    } else {
-        golden.scan_cut()
-    };
+    let comb = golden.scan_cut();
     let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
     let rare = RareNodeExtractor::new(0.20).extract(&comb, &patterns)?;
 

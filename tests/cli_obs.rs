@@ -92,6 +92,22 @@ fn grade_ndatpg_streams_its_generation_span() {
     );
 }
 
+/// c17 has no rare events at grade's θ = 0.2, so ND-ATPG has nothing to
+/// target: it reports an empty test set instead of substituting random
+/// vectors.
+#[test]
+fn grade_ndatpg_without_rare_events_reports_no_tests() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_htforge"))
+        .args(["grade", "c17", "--scheme", "ndatpg"])
+        .env_remove("HTFORGE_OBS")
+        .output()
+        .expect("spawn htforge");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("ND-ATPG: 0 tests from c17"), "{stdout}");
+}
+
 #[test]
 fn progress_is_an_unknown_output() {
     let (code, stderr, dir) = htforge("progress", INSERT_C17, "progress");

@@ -9,11 +9,7 @@ use htforge::sim::{PatternSet, RareNodeExtractor};
 
 fn graph_for(circuit: &str) -> (htforge::netlist::Netlist, CompatGraph) {
     let nl = htforge::circuits::load(circuit).expect("known circuit");
-    let comb = if nl.dffs().is_empty() {
-        nl.clone()
-    } else {
-        nl.scan_cut()
-    };
+    let comb = nl.scan_cut();
     let patterns = PatternSet::random(comb.inputs().len(), 4_000, 0xC1A);
     let rare = RareNodeExtractor::new(0.20)
         .extract(&comb, &patterns)

@@ -3,8 +3,7 @@
 
 use htforge::core::{InsertionConfig, InsertionFramework, PayloadStrategy};
 use htforge::netlist::bench;
-use htforge::sim::simulator::BoundSimulator;
-use htforge::sim::PatternSet;
+use htforge::sim::{PatternSet, SimProgram};
 
 fn insertion_outcome(circuit: &str, q: usize, n: usize) -> htforge::core::InsertionOutcome {
     let nl = htforge::circuits::load(circuit).expect("known circuit");
@@ -27,9 +26,9 @@ fn c2670_trojans_activate_on_their_cube_and_stay_quiescent_otherwise() {
     let outcome = insertion_outcome("c2670", 10, 3);
     assert_eq!(outcome.infected.len(), 3);
 
-    let golden_sim = BoundSimulator::new(&nl).unwrap();
+    let golden_sim = SimProgram::compile(&nl).unwrap();
     for design in &outcome.infected {
-        let infected_sim = BoundSimulator::new(&design.netlist).unwrap();
+        let infected_sim = SimProgram::compile(&design.netlist).unwrap();
 
         // 1. The merged clique cube fires the trigger (any X fill).
         for fill in [false, true] {
@@ -94,7 +93,7 @@ fn sequential_circuit_pipeline_is_consistent() {
         assert!(design.netlist.validate().is_ok());
         // Scan-cut of the infected design still simulates.
         let cut = design.netlist.scan_cut();
-        let sim = BoundSimulator::new(&cut).unwrap();
+        let sim = SimProgram::compile(&cut).unwrap();
         let ps = PatternSet::random(cut.inputs().len(), 256, 1);
         let vals = sim.run(&ps);
         assert_eq!(vals.len(), 256);

@@ -6,8 +6,7 @@ use htforge::atpg::Cube;
 use htforge::circuits::synth::{generate, CircuitProfile};
 use htforge::core::TriggerPlan;
 use htforge::netlist::bench;
-use htforge::sim::simulator::BoundSimulator;
-use htforge::sim::{PatternSet, Tri};
+use htforge::sim::{PatternSet, SimProgram, Tri};
 
 fn arb_tri() -> impl Strategy<Value = Tri> {
     prop_oneof![Just(Tri::Zero), Just(Tri::One), Just(Tri::X)]
@@ -116,8 +115,8 @@ proptest! {
         let back = bench::parse(&bench::write(&nl), "prop_fn").expect("parses");
 
         let ps = PatternSet::random(8, 256, seed ^ 1);
-        let a = BoundSimulator::new(&nl).expect("valid").run(&ps);
-        let b = BoundSimulator::new(&back).expect("valid").run(&ps);
+        let a = SimProgram::compile(&nl).expect("valid").run(&ps);
+        let b = SimProgram::compile(&back).expect("valid").run(&ps);
         for (&oa, &ob) in nl.outputs().iter().zip(back.outputs()) {
             for p in 0..ps.len() {
                 prop_assert_eq!(a.value(oa, p), b.value(ob, p));
