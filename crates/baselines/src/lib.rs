@@ -43,6 +43,7 @@ use std::time::Duration;
 use htforge_atpg::Cube;
 use htforge_core::{InfectedDesign, InsertionError, PayloadKind, PayloadStrategy, TrojanEmitter};
 use htforge_netlist::{netlist::NodeId, Netlist};
+use htforge_obs::RunBudget;
 use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, RareNodeSet, SimProgram, Tri};
 
@@ -99,15 +100,20 @@ impl<'a> Prologue<'a> {
     ) -> Result<Self, InsertionError> {
         let comb = host.scan_cut();
         let scoap = Scoap::compute(host)?;
+        let prog = SimProgram::compile(&comb)?;
         let patterns = PatternSet::random(comb.inputs().len(), vectors, seed);
-        let rare = RareNodeExtractor::new(theta).extract(&comb, &patterns)?;
+        let (rare, _) = RareNodeExtractor::new(theta).extract_budgeted(
+            &prog,
+            &comb,
+            &patterns,
+            &RunBudget::unlimited(),
+        );
         if rare.len() < trigger_nodes {
             return Err(InsertionError::NotEnoughRareNodes {
                 found: rare.len(),
                 needed: trigger_nodes,
             });
         }
-        let prog = SimProgram::compile(&comb)?;
         Ok(Prologue {
             host,
             scoap,

@@ -157,7 +157,9 @@ impl CompatGraph {
         rare: &RareNodeSet,
         podem_config: PodemConfig,
     ) -> Result<Self, NetlistError> {
+        let prog = SimProgram::compile(nl)?;
         Self::build_inner(
+            &prog,
             nl,
             rare,
             podem_config,
@@ -167,7 +169,9 @@ impl CompatGraph {
         .map(|(graph, _)| graph)
     }
 
-    /// Budget-aware [`CompatGraph::build`]: cube generation stops
+    /// Budget-aware [`CompatGraph::build`] over `prog`, the compiled form
+    /// of `nl` (the program rare extraction profiled it with, so the
+    /// pipeline compiles its model once). Cube generation stops
     /// attempting new faults once the budget is spent (in-flight PODEM
     /// searches are interrupted via the shared budget), and the
     /// pairwise matrix fill stops at the first row past the budget,
@@ -179,16 +183,30 @@ impl CompatGraph {
     /// # Errors
     ///
     /// See [`CompatGraph::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prog` was not compiled from `nl` (detected via
+    /// node-count mismatch).
     pub fn build_budgeted(
+        prog: &SimProgram,
         nl: &Netlist,
         rare: &RareNodeSet,
         podem_config: PodemConfig,
         budget: &RunBudget,
     ) -> Result<(Self, Vec<DegradationNote>), NetlistError> {
-        Self::build_inner(nl, rare, podem_config, htforge_obs::host_threads(), budget)
+        Self::build_inner(
+            prog,
+            nl,
+            rare,
+            podem_config,
+            htforge_obs::host_threads(),
+            budget,
+        )
     }
 
     fn build_inner(
+        prog: &SimProgram,
         nl: &Netlist,
         rare: &RareNodeSet,
         podem_config: PodemConfig,
@@ -196,6 +214,11 @@ impl CompatGraph {
         budget: &RunBudget,
     ) -> Result<(Self, Vec<DegradationNote>), NetlistError> {
         assert!(threads > 0, "need at least one worker thread");
+        assert_eq!(
+            nl.node_count(),
+            prog.node_count(),
+            "program compiled from a different netlist"
+        );
         let rare_list: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let mut notes = Vec::new();
 
@@ -205,8 +228,7 @@ impl CompatGraph {
         // skip the remaining faults (`None`, distinguishable from a
         // PODEM drop so it can be reported).
         let podem_span = htforge_obs::span("podem");
-        let prog = SimProgram::compile(nl)?;
-        let (witness_values, witness_columns) = witness_columns(&prog, rare);
+        let (witness_values, witness_columns) = witness_columns(prog, rare);
         // Engine construction is fallible; build at least one engine up
         // front so errors surface before any thread spawns, even when
         // there are no events.
@@ -239,7 +261,7 @@ impl CompatGraph {
         // to drive its event (which would take a PODEM defect) is dropped
         // like an unattainable fault — the graph stays sound either way.
         let verify_span = htforge_obs::span("compat_cube_verify");
-        let (events, failures) = verify_cubes(&prog, events);
+        let (events, failures) = verify_cubes(prog, events);
         dropped += failures;
         verify_span.finish();
 
@@ -490,9 +512,11 @@ z = NOR(a, b)
         let ps = PatternSet::random(4, 10_000, 3);
         let rare = RareNodeExtractor::new(0.30).extract(&nl, &ps).unwrap();
         let full = CompatGraph::build(&nl, &rare, PodemConfig::default()).unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
         let budget = RunBudget::with_deadline(std::time::Duration::from_secs(60));
         let (g, notes) =
-            CompatGraph::build_budgeted(&nl, &rare, PodemConfig::default(), &budget).unwrap();
+            CompatGraph::build_budgeted(&prog, &nl, &rare, PodemConfig::default(), &budget)
+                .unwrap();
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(g.len(), full.len());
         assert_eq!(g.edge_count(), full.edge_count());
@@ -510,9 +534,11 @@ z = NOR(a, b)
         let ps = PatternSet::random(4, 10_000, 3);
         let rare = RareNodeExtractor::new(0.30).extract(&nl, &ps).unwrap();
         assert!(!rare.is_empty());
+        let prog = SimProgram::compile(&nl).unwrap();
         let budget = RunBudget::with_deadline(std::time::Duration::ZERO);
         let (g, notes) =
-            CompatGraph::build_budgeted(&nl, &rare, PodemConfig::default(), &budget).unwrap();
+            CompatGraph::build_budgeted(&prog, &nl, &rare, PodemConfig::default(), &budget)
+                .unwrap();
         assert!(g.is_empty());
         assert_eq!(g.dropped(), 0, "skips must not be counted as drops");
         assert!(
@@ -544,10 +570,12 @@ z = NOR(a, b)
         for (nl, config) in &cases {
             let ps = PatternSet::random(nl.inputs().len(), 4_096, 11);
             let rare = RareNodeExtractor::new(0.20).extract(nl, &ps).unwrap();
+            let prog = SimProgram::compile(nl).unwrap();
             let unlimited = RunBudget::unlimited();
             let build = |threads| {
                 let (g, notes) =
-                    CompatGraph::build_inner(nl, &rare, *config, threads, &unlimited).unwrap();
+                    CompatGraph::build_inner(&prog, nl, &rare, *config, threads, &unlimited)
+                        .unwrap();
                 assert!(notes.is_empty(), "{notes:?}");
                 g
             };

@@ -12,7 +12,7 @@ use htforge_atpg::PodemConfig;
 use htforge_netlist::{netlist::NodeId, Netlist};
 use htforge_obs::{DegradationNote, RunBudget};
 use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, RareNodeSet};
+use htforge_sim::{PatternSet, RareNodeExtractor, RareNodeSet, SimProgram};
 
 use crate::clique::{enumerate_cliques_budgeted, sample_cliques_budgeted};
 use crate::compat::CompatGraph;
@@ -89,7 +89,7 @@ impl Default for InsertionConfig {
 /// when the recorder is disabled (the default).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Scan-cut + levelization.
+    /// Scan-cut, SCOAP and compiling the combinational model.
     pub preprocess: Duration,
     /// Algorithm 1 (simulation + classification).
     pub rare_extraction: Duration,
@@ -244,10 +244,12 @@ impl InsertionFramework {
         // moment it starts).
         let mut stages = budget.staged(&DEFAULT_STAGE_WEIGHTS);
 
-        // Phase 0: combinational model.
+        // Phase 0: combinational model, compiled once for profiling and
+        // the compatibility graph.
         let t0 = htforge_obs::span("preprocess");
         let comb = nl.scan_cut();
         let scoap = Scoap::compute(nl)?;
+        let prog = SimProgram::compile(&comb)?;
         timings.preprocess = t0.finish();
 
         // Phase 1: rare nodes (Algorithm 1); the profile truncates when
@@ -255,10 +257,11 @@ impl InsertionFramework {
         let t1 = htforge_obs::span("rare_extraction");
         let patterns = PatternSet::random(comb.inputs().len(), cfg.num_vectors, cfg.seed);
         let (rare, rare_note) = RareNodeExtractor::new(cfg.theta).extract_budgeted(
+            &prog,
             &comb,
             &patterns,
             &stages.next_stage(),
-        )?;
+        );
         timings.rare_extraction = t1.finish();
         htforge_obs::counter("rare.nodes").add(rare.len() as u64);
         let rare_truncated = rare_note.is_some();
@@ -280,7 +283,7 @@ impl InsertionFramework {
         // matrix rows when its sub-budget runs out.
         let t2 = htforge_obs::span("compat_graph");
         let (graph, compat_notes) =
-            CompatGraph::build_budgeted(&comb, &rare, cfg.podem, &stages.next_stage())?;
+            CompatGraph::build_budgeted(&prog, &comb, &rare, cfg.podem, &stages.next_stage())?;
         timings.compat_graph = t2.finish();
         let compat_degraded = !compat_notes.is_empty();
         degradations.extend(compat_notes);
@@ -571,7 +574,7 @@ fn validate_functional(design: &InfectedDesign, index: usize) -> Result<(), Inse
         cut.inputs().len(),
         "activation cube width must match the scan-cut input count"
     );
-    let prog = htforge_sim::SimProgram::compile(&cut)?;
+    let prog = SimProgram::compile(&cut)?;
     let values = prog.run(&PatternSet::from_vectors(vector.len(), &[vector]));
     if !values.value(trojan.trigger_output, 0) {
         return Err(InsertionError::Internal(format!(
@@ -616,7 +619,7 @@ fn sorted_members(members: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_sim::{SimProgram, Tri};
+    use htforge_sim::Tri;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex};
 
 use htforge_circuits as circuits;
 use htforge_netlist::{bench, Netlist};
+use htforge_obs::RunBudget;
 use htforge_sim::{PatternSet, RareNodeExtractor, RareNodeSet, SimProgram};
 
 use crate::protocol::CircuitSource;
@@ -141,18 +142,15 @@ impl ProgramCache {
     }
 
     /// The rare-node profile of `circuit` at `(theta, vectors, seed)`,
-    /// computed once and shared thereafter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the extractor's netlist error.
+    /// computed once on the circuit's compiled program and shared
+    /// thereafter.
     pub fn rare_profile(
         &self,
         circuit: &CompiledCircuit,
         theta: f64,
         vectors: usize,
         seed: u64,
-    ) -> Result<Arc<RareNodeSet>, String> {
+    ) -> Arc<RareNodeSet> {
         let key = RareKey {
             theta_bits: theta.to_bits(),
             vectors,
@@ -161,16 +159,19 @@ impl ProgramCache {
         let mut rare = circuit.rare.lock().unwrap();
         if let Some(hit) = rare.get(&key) {
             self.counters.rare_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
+            return Arc::clone(hit);
         }
         self.counters.rare_misses.fetch_add(1, Ordering::Relaxed);
         let patterns = PatternSet::random(circuit.comb.inputs().len(), vectors, seed);
-        let set = RareNodeExtractor::new(theta)
-            .extract(&circuit.comb, &patterns)
-            .map_err(|e| e.to_string())?;
+        let (set, _) = RareNodeExtractor::new(theta).extract_budgeted(
+            &circuit.sim,
+            &circuit.comb,
+            &patterns,
+            &RunBudget::unlimited(),
+        );
         let set = Arc::new(set);
         rare.insert(key, Arc::clone(&set));
-        Ok(set)
+        set
     }
 }
 
@@ -270,10 +271,10 @@ mod tests {
         let (c17, _) = cache
             .get_or_compile(&CircuitSource::Builtin("c17".into()))
             .unwrap();
-        let a = cache.rare_profile(&c17, 0.3, 512, 1).unwrap();
-        let b = cache.rare_profile(&c17, 0.3, 512, 1).unwrap();
+        let a = cache.rare_profile(&c17, 0.3, 512, 1);
+        let b = cache.rare_profile(&c17, 0.3, 512, 1);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = cache.rare_profile(&c17, 0.3, 512, 2).unwrap();
+        let c = cache.rare_profile(&c17, 0.3, 512, 2);
         assert!(!Arc::ptr_eq(&a, &c));
         let s = cache.stats();
         assert_eq!((s.rare_hits, s.rare_misses), (1, 2));

@@ -299,12 +299,9 @@ fn exec_grade(
     if let Err(e) = budget.check() {
         return ExecOutcome::budget(e);
     }
-    let rare = match timed_phase(progress, &mut phases, "rare_profile", || {
+    let rare = timed_phase(progress, &mut phases, "rare_profile", || {
         cache.rare_profile(circuit, p.theta, p.vectors, p.seed)
-    }) {
-        Ok(r) => r,
-        Err(e) => return ExecOutcome::terminal(JobStatus::Failed, e),
-    };
+    });
     let scheme = scheme_for(job);
     let tests = match timed_phase(progress, &mut phases, "test_generation", || {
         scheme.generate_tests(&circuit.comb, &rare)
@@ -352,12 +349,9 @@ fn exec_detect(
     if let Err(e) = budget.check() {
         return ExecOutcome::budget(e);
     }
-    let rare = match timed_phase(progress, &mut phases, "rare_profile", || {
+    let rare = timed_phase(progress, &mut phases, "rare_profile", || {
         cache.rare_profile(circuit, p.theta, p.vectors, p.seed)
-    }) {
-        Ok(r) => r,
-        Err(e) => return ExecOutcome::terminal(JobStatus::Failed, e),
-    };
+    });
     let scheme = scheme_for(job);
     let tests = match timed_phase(progress, &mut phases, "test_generation", || {
         scheme.generate_tests(&circuit.comb, &rare)

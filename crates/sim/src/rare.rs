@@ -11,7 +11,8 @@ use htforge_netlist::{netlist::NodeId, Netlist, NetlistError, NodeKind};
 use htforge_obs::{DegradationNote, RunBudget};
 
 use crate::patterns::PatternSet;
-use crate::simulator::{NodeValues, Simulator};
+use crate::program::SimProgram;
+use crate::simulator::NodeValues;
 
 /// A node identified as rare, together with its rare value and how often
 /// it reached that value during profiling.
@@ -164,9 +165,8 @@ impl RareNodeExtractor {
         self.theta
     }
 
-    /// Runs Algorithm 1: simulates `patterns` on `nl` and classifies each
-    /// node. A node with `count1 ≤ θ·|V|` goes to RN1; otherwise, if
-    /// `count0 ≤ θ·|V|`, to RN0 (the paper's if/else-if order).
+    /// Runs Algorithm 1 on `nl`: compiles it, then profiles it with
+    /// [`RareNodeExtractor::extract_budgeted`] under an unlimited budget.
     ///
     /// # Errors
     ///
@@ -180,44 +180,48 @@ impl RareNodeExtractor {
         nl: &Netlist,
         patterns: &PatternSet,
     ) -> Result<RareNodeSet, NetlistError> {
-        htforge_obs::faultpoint!("rare.extract_chunk");
-        let sim = Simulator::new(nl)?;
-        let mut profile = Profile::new(nl.node_count());
-        profile.observe(nl, &sim.run_on(nl, patterns), 0);
-        Ok(self.classify(nl, &profile, patterns, patterns.len()))
+        let prog = SimProgram::compile(nl)?;
+        Ok(self
+            .extract_budgeted(&prog, nl, patterns, &RunBudget::unlimited())
+            .0)
     }
 
-    /// Budget-aware Algorithm 1: like [`RareNodeExtractor::extract`],
-    /// but the simulation is chunked (2048 patterns per chunk) and the
-    /// budget is checked between chunks. When the budget runs out the
+    /// Algorithm 1 over `prog`, the compiled form of `nl`: simulates
+    /// `patterns` 2048 at a time and classifies each node. A node with
+    /// `count1 ≤ θ·|V|` goes to RN1; otherwise, if `count0 ≤ θ·|V|`, to
+    /// RN0 (the paper's if/else-if order).
+    ///
+    /// The budget is checked between chunks. When it runs out the
     /// profile is computed from the patterns simulated so far and a
     /// [`DegradationNote`] reports the truncation; counts and witnesses
     /// over the simulated prefix are identical to what a full run would
     /// have seen for those patterns.
     ///
-    /// With an unlimited budget this delegates to `extract` outright —
-    /// same code path, zero overhead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    ///
     /// # Panics
     ///
-    /// Panics if the pattern width does not match the input count.
+    /// Panics if `prog` was not compiled from `nl` (detected via
+    /// node-count mismatch) or the pattern width does not match the
+    /// input count.
     pub fn extract_budgeted(
         &self,
+        prog: &SimProgram,
         nl: &Netlist,
         patterns: &PatternSet,
         budget: &RunBudget,
-    ) -> Result<(RareNodeSet, Option<DegradationNote>), NetlistError> {
-        if budget.is_unlimited() && !budget.cancelled() {
-            return Ok((self.extract(nl, patterns)?, None));
-        }
+    ) -> (RareNodeSet, Option<DegradationNote>) {
+        assert_eq!(
+            nl.node_count(),
+            prog.node_count(),
+            "program compiled from a different netlist"
+        );
+        assert_eq!(
+            patterns.num_inputs(),
+            prog.num_inputs(),
+            "pattern width does not match netlist input count"
+        );
         // Chunk length must be word-aligned so columns can be copied
         // wholesale out of the source pattern set.
         const CHUNK: usize = 2048;
-        let sim = Simulator::new(nl)?;
         let num_inputs = patterns.num_inputs();
         let mut profile = Profile::new(nl.node_count());
         let mut simulated = 0usize;
@@ -233,7 +237,7 @@ impl RareNodeExtractor {
             for input in 0..num_inputs {
                 chunk.set_input_words(input, &patterns.input_words(input)[w0..w1]);
             }
-            profile.observe(nl, &sim.run_on(nl, &chunk), simulated);
+            profile.observe(nl, &prog.run(&chunk), simulated);
             simulated += len;
         }
         let note = (simulated < patterns.len()).then(|| {
@@ -243,7 +247,7 @@ impl RareNodeExtractor {
                 format!("profiled {simulated} of {} patterns", patterns.len()),
             )
         });
-        Ok((self.classify(nl, &profile, patterns, simulated), note))
+        (self.classify(nl, &profile, patterns, simulated), note)
     }
 
     /// Classifies nodes into RN1/RN0 given the profile of the first
@@ -451,8 +455,9 @@ y = OR(a, b, c, d)
         let ps = PatternSet::random(4, 5_000, 11);
         let ex = RareNodeExtractor::new(0.20);
         let full = ex.extract(&nl, &ps).unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
         let budget = RunBudget::with_deadline(std::time::Duration::from_secs(60));
-        let (chunked, note) = ex.extract_budgeted(&nl, &ps, &budget).unwrap();
+        let (chunked, note) = ex.extract_budgeted(&prog, &nl, &ps, &budget);
         assert!(note.is_none());
         assert_eq!(chunked.samples(), full.samples());
         assert_eq!(chunked.rare_at_one(), full.rare_at_one());
@@ -466,7 +471,7 @@ y = OR(a, b, c, d)
             planted.set(input, 3_000, true);
         }
         let full = ex.extract(&nl, &planted).unwrap();
-        let (chunked, _) = ex.extract_budgeted(&nl, &planted, &budget).unwrap();
+        let (chunked, _) = ex.extract_budgeted(&prog, &nl, &planted, &budget);
         assert_eq!(chunked.rare_at_one(), full.rare_at_one());
         assert_eq!(chunked.witnesses(), full.witnesses());
         let y = full.get(nl.find("y").unwrap()).unwrap();
@@ -502,9 +507,8 @@ y = OR(a, b, c, d)
         let nl = bench::parse(TREE, "t").unwrap();
         let ps = PatternSet::random(4, 10_000, 11);
         let budget = RunBudget::with_deadline(std::time::Duration::ZERO);
-        let (set, note) = RareNodeExtractor::new(0.20)
-            .extract_budgeted(&nl, &ps, &budget)
-            .unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
+        let (set, note) = RareNodeExtractor::new(0.20).extract_budgeted(&prog, &nl, &ps, &budget);
         assert_eq!(set.samples(), 0);
         assert!(set.is_empty());
         let note = note.expect("truncation must be reported");
@@ -513,14 +517,13 @@ y = OR(a, b, c, d)
     }
 
     #[test]
-    fn cancelled_unlimited_budget_takes_the_chunked_path() {
+    fn cancelled_unlimited_budget_truncates_the_profile() {
         let nl = bench::parse(TREE, "t").unwrap();
         let ps = PatternSet::random(4, 1_000, 11);
         let budget = RunBudget::unlimited();
         budget.cancel_token().cancel();
-        let (set, note) = RareNodeExtractor::new(0.20)
-            .extract_budgeted(&nl, &ps, &budget)
-            .unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
+        let (set, note) = RareNodeExtractor::new(0.20).extract_budgeted(&prog, &nl, &ps, &budget);
         assert!(set.is_empty());
         assert!(note.is_some());
     }

@@ -11,7 +11,7 @@ use std::error::Error;
 use htforge::baselines::{RandomInserter, RlConfig, RlInserter, TrustHubInserter};
 use htforge::core::{InfectedDesign, InsertionConfig, InsertionFramework};
 use htforge::detect::{
-    evaluate_designs, DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection,
+    CoverageEvaluator, DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection,
 };
 use htforge::sim::{PatternSet, RareNodeExtractor};
 
@@ -76,6 +76,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     families.push(("TrustHub", th.infected));
 
     // --- detection schemes ---------------------------------------------
+    // A scheme's tests depend only on the golden model and its rare
+    // profile, so each set is generated once and graded against every
+    // family.
     let profile = PatternSet::random(comb.inputs().len(), 10_000, 99);
     let rare = RareNodeExtractor::new(0.20).extract(&comb, &profile)?;
     let schemes: Vec<Box<dyn DetectionScheme>> = vec![
@@ -83,6 +86,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         Box::new(MeroDetection::new(1_000, 2_500, 6)),
         Box::new(NdAtpgDetection::new(5, 7)),
     ];
+    let mut suites = Vec::new();
+    for scheme in &schemes {
+        suites.push((scheme.name(), scheme.generate_tests(&comb, &rare)?));
+    }
+    let evaluator = CoverageEvaluator::new(&golden)?;
 
     println!(
         "\n{:>10} {:>9} {:>8} {:>8}",
@@ -93,13 +101,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             println!("{name:>10}  (no instances generated)");
             continue;
         }
-        for scheme in &schemes {
-            let tests = scheme.generate_tests(&comb, &rare)?;
-            let report = evaluate_designs(&golden, designs, &tests)?;
+        for (scheme, tests) in &suites {
+            let report = evaluator.evaluate(designs, tests)?;
             println!(
                 "{:>10} {:>9} {:>7.1} {:>7.1}",
                 name,
-                scheme.name(),
+                scheme,
                 report.trigger_coverage(),
                 report.detection_coverage(),
             );

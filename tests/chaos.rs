@@ -213,8 +213,9 @@ fn truncated_matrix_stays_symmetric() {
         "compat.matrix_row",
         Action::Delay(Duration::from_millis(20)),
     );
+    let prog = htforge::sim::SimProgram::compile(&nl).unwrap();
     let budget = RunBudget::with_deadline(Duration::from_secs(2));
-    let result = CompatGraph::build_budgeted(&nl, &rare, PodemConfig::justify(), &budget);
+    let result = CompatGraph::build_budgeted(&prog, &nl, &rare, PodemConfig::justify(), &budget);
     disarm_all();
     let (graph, notes) = result.unwrap();
     assert!(

@@ -6,12 +6,14 @@
 //! on a population of random synthetic DAGs, including pattern counts
 //! that are not multiples of 64 (tail-masking paths). The same batch,
 //! cut into slices that each get their own run (down to one pattern per
-//! run), must give the same bits as one run over all of it.
+//! run), must give the same bits as one run over all of it. Rare-node
+//! extraction, which profiles in 2048-pattern chunks, must give the
+//! tally of one run over all of its patterns.
 
 use htforge_circuits::multiplier::multiplier;
 use htforge_circuits::synth::{generate, CircuitProfile};
 use htforge_netlist::{Netlist, NodeKind};
-use htforge_sim::{PatternSet, SimProgram, Simulator};
+use htforge_sim::{PatternSet, RareNode, RareNodeExtractor, SimProgram, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -322,5 +324,91 @@ fn synthetic_dags_differential() {
         let len = [1usize, 50, 63, 64, 65, 127, 128, 130, 192, 321][i as usize % 10];
         let ps = PatternSet::random(nl.inputs().len(), len, i + 1);
         assert_differential(&nl, &ps, &format!("{}/{len}", profile.name));
+    }
+}
+
+/// Algorithm 1 the single-shot way: one run over every pattern, then
+/// each node's popcount and the first pattern holding its rare value.
+/// Returns RN1, RN0 and the witness set, witnesses numbered by column.
+fn single_shot_rare(
+    nl: &Netlist,
+    patterns: &PatternSet,
+    theta: f64,
+) -> (Vec<RareNode>, Vec<RareNode>, PatternSet) {
+    let vals = SimProgram::compile(nl).expect("compiles").run(patterns);
+    let samples = patterns.len();
+    let threshold = (theta * samples as f64).floor() as u64;
+    let (mut rn1, mut rn0) = (Vec::new(), Vec::new());
+    for (id, node) in nl.iter() {
+        if matches!(node.kind(), NodeKind::Input | NodeKind::Dff) {
+            continue;
+        }
+        let ones = vals.count_ones(id);
+        let rare = |rare_value: bool, count: u64| RareNode {
+            node: id,
+            rare_value,
+            count,
+            witness: (0..samples)
+                .find(|&p| vals.value(id, p) == rare_value)
+                .map(|p| p as u32),
+        };
+        if ones <= threshold {
+            rn1.push(rare(true, ones));
+        } else if samples as u64 - ones <= threshold {
+            rn0.push(rare(false, samples as u64 - ones));
+        }
+    }
+    let mut fired: Vec<u32> = rn1.iter().chain(&rn0).filter_map(|r| r.witness).collect();
+    fired.sort_unstable();
+    fired.dedup();
+    let mut witnesses = PatternSet::zeros(patterns.num_inputs(), 0);
+    for &p in &fired {
+        witnesses.push(&patterns.pattern(p as usize));
+    }
+    for r in rn1.iter_mut().chain(rn0.iter_mut()) {
+        r.witness = r.witness.map(|p| fired.binary_search(&p).unwrap() as u32);
+    }
+    (rn1, rn0, witnesses)
+}
+
+/// The chunked profiling loop behind `RareNodeExtractor::extract` gives
+/// the single-shot tally's rare sets, counts, witness columns and
+/// witness patterns, at pattern counts on both sides of the word and
+/// chunk (2048) boundaries. Random vectors fire most rare nodes early,
+/// so the tree also runs on all-zero vectors whose last pattern alone
+/// fires `y`, which puts its witness in the last chunk.
+#[test]
+fn rare_extraction_matches_single_shot_tally() {
+    let tree = htforge_netlist::bench::parse(
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\n\
+         m = AND(a, b)\nn = AND(c, d)\ny = AND(m, n)\n",
+        "tree",
+    )
+    .unwrap();
+    let c2670 = htforge_circuits::load("c2670").unwrap();
+    let extractor = RareNodeExtractor::new(0.20);
+    for len in [1usize, 63, 64, 2047, 2048, 2049, 5000, 10_000] {
+        let mut planted = PatternSet::zeros(4, len);
+        for input in 0..4 {
+            planted.set(input, len - 1, true);
+        }
+        let cases = [
+            ("tree", &tree, PatternSet::random(4, len, len as u64)),
+            ("planted tree", &tree, planted),
+            (
+                "c2670",
+                &c2670,
+                PatternSet::random(c2670.inputs().len(), len, len as u64),
+            ),
+        ];
+        for (name, nl, ps) in &cases {
+            let got = extractor.extract(nl, ps).unwrap();
+            let (rn1, rn0, witnesses) = single_shot_rare(nl, ps, 0.20);
+            let label = format!("{name} @ {len}");
+            assert_eq!(got.samples(), len, "{label}");
+            assert_eq!(got.rare_at_one(), &rn1[..], "{label}: RN1");
+            assert_eq!(got.rare_at_zero(), &rn0[..], "{label}: RN0");
+            assert_eq!(got.witnesses(), &witnesses, "{label}: witnesses");
+        }
     }
 }

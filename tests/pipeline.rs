@@ -136,3 +136,48 @@ fn distinct_cliques_across_instances() {
     sets.dedup();
     assert_eq!(sets.len(), before, "instances must use distinct cliques");
 }
+
+/// FNV-1a over every design's `.bench` text, in emission order.
+fn designs_digest(outcome: &htforge::core::InsertionOutcome) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for design in &outcome.infected {
+        for &b in bench::write(&design.netlist).as_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The framework's output at the default profile (θ = 0.2, 10 000
+/// vectors, so the last profiling chunk is a partial one), pinned so
+/// that a change to profiling, the compatibility graph, clique selection
+/// or emission that moves any output byte fails here. s1423 covers the
+/// scan-cut path.
+#[test]
+fn framework_output_is_pinned() {
+    let pinned = |circuit: &str, q: usize, n: usize| {
+        let nl = htforge::circuits::load(circuit).unwrap();
+        let outcome = InsertionFramework::new(InsertionConfig {
+            trigger_nodes: q,
+            num_instances: n,
+            ..InsertionConfig::default()
+        })
+        .run(&nl)
+        .unwrap();
+        let s = outcome.graph_stats;
+        (
+            outcome.rare_nodes.len(),
+            (s.vertices, s.dropped, s.edges, s.cliques),
+            outcome.infected.len(),
+            designs_digest(&outcome),
+        )
+    };
+    assert_eq!(
+        pinned("c2670", 8, 20),
+        (324, (321, 3, 36_564, 20), 20, 0xe11e_2b2f_bde4_e88b)
+    );
+    assert_eq!(
+        pinned("s1423", 6, 4),
+        (217, (208, 9, 12_981, 4), 4, 0x3d02_1b05_645b_48f2)
+    );
+}
