@@ -10,8 +10,12 @@
 //! * [`cube`] — partial input assignments (test cubes) with conflict
 //!   checking and merging,
 //! * [`podem`] — the PODEM engine (justify-only and full-detect modes),
+//! * [`sat`] — the stuck-at miter as CNF, decided by a CDCL solver: a
+//!   verdict (with a detecting vector) where PODEM aborts, within a
+//!   conflict limit,
 //! * [`ndetect`] — up-to-N distinct cubes per fault (the ND-ATPG
-//!   detection scheme's primitive),
+//!   detection scheme's primitive), which skips the faults [`sat`]
+//!   proves undetectable,
 //! * [`fault_sim`] — bit-parallel stuck-at fault simulation for grading
 //!   test sets.
 //!
@@ -40,6 +44,7 @@ pub mod fault;
 pub mod fault_sim;
 pub mod ndetect;
 pub mod podem;
+pub mod sat;
 
 pub use cube::Cube;
 pub use fault::Fault;

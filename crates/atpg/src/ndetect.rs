@@ -5,10 +5,16 @@
 //! tests, so each rare node is driven to its rare value `N` times. The
 //! cube diversity comes from re-running PODEM with randomized backtrace
 //! input selection under different seeds.
+//!
+//! A detect-mode fault on which the deterministic run aborts is first
+//! put to a SAT miter ([`crate::sat`]): when it proves the fault
+//! undetectable, the randomized runs, which could never find a test, are
+//! skipped.
 
 use crate::cube::Cube;
 use crate::fault::Fault;
-use crate::podem::{Podem, PodemConfig, TestResult};
+use crate::podem::{Podem, PodemConfig, PodemMode, TestResult};
+use crate::sat::{MiterSolver, Verdict};
 
 use htforge_netlist::{Netlist, NetlistError};
 
@@ -17,7 +23,8 @@ use htforge_netlist::{Netlist, NetlistError};
 /// Cubes are deduplicated exactly (same care bits in the same positions).
 /// Fewer than `n` cubes are returned when the fault admits fewer distinct
 /// PODEM outcomes within the attempt budget (`4 * n` randomized runs plus
-/// one deterministic run), or none at all when the fault is untestable.
+/// one deterministic run), or none at all when the fault is untestable
+/// (see [`NDetectEngine::cubes`]).
 ///
 /// # Errors
 ///
@@ -51,18 +58,24 @@ pub fn n_detect_cubes(
 }
 
 /// A reusable N-detect cube generator: one deterministic PODEM engine
-/// for the SCOAP-guided first run and one randomized engine, reseeded
-/// before every attempt. The cubes for a fault depend only on the fault,
-/// `n` and the seed, never on what the engine searched before, so one
-/// engine per worker thread gives the same cubes as [`n_detect_cubes`].
+/// for the SCOAP-guided first run, one randomized engine, reseeded
+/// before every attempt, and in detect mode a [`MiterSolver`] for the
+/// faults the first run aborts on. The cubes for a fault depend only on
+/// the fault, `n` and the seed, never on what the engine searched
+/// before, so one engine per worker thread gives the same cubes as
+/// [`n_detect_cubes`].
 #[derive(Debug)]
 pub struct NDetectEngine {
     deterministic: Podem,
     randomized: Podem,
+    miter: Option<MiterSolver>,
+    unsat: htforge_obs::Counter,
+    sat_unknown: htforge_obs::Counter,
 }
 
 impl NDetectEngine {
-    /// Builds both engines for `nl`; `config`'s `random_seed` is ignored.
+    /// Builds both engines (and, in detect mode, the miter solver) for
+    /// `nl`; `config`'s `random_seed` is ignored.
     ///
     /// # Errors
     ///
@@ -85,10 +98,24 @@ impl NDetectEngine {
                     ..config
                 },
             )?,
+            miter: match config.mode {
+                PodemMode::Detect => Some(MiterSolver::new(nl)?),
+                PodemMode::Justify => None,
+            },
+            unsat: htforge_obs::counter("ndatpg.unsat"),
+            sat_unknown: htforge_obs::counter("ndatpg.sat_unknown"),
         })
     }
 
     /// Up to `n` distinct cubes testing `fault` (see [`n_detect_cubes`]).
+    ///
+    /// The deterministic run goes first. When it aborts in detect mode,
+    /// the miter solver decides the fault: a fault it proves undetectable
+    /// returns no cubes without any randomized run (counted in
+    /// `ndatpg.unsat`); otherwise, satisfiable or past the solver's
+    /// conflict limit (`ndatpg.sat_unknown`), the randomized runs go
+    /// ahead. Skipping runs that cannot find a test leaves the cubes
+    /// unchanged.
     pub fn cubes(&mut self, fault: Fault, n: usize, seed: u64) -> Vec<Cube> {
         let mut cubes: Vec<Cube> = Vec::new();
         if n == 0 {
@@ -97,7 +124,15 @@ impl NDetectEngine {
         match self.deterministic.generate(fault) {
             TestResult::Test(cube) => cubes.push(cube),
             TestResult::Untestable => return cubes,
-            TestResult::Aborted | TestResult::TimedOut => {}
+            TestResult::Aborted => match self.miter.as_mut().map(|m| m.decide(fault)) {
+                Some(Verdict::Undetectable) => {
+                    self.unsat.incr();
+                    return cubes;
+                }
+                Some(Verdict::Unknown) => self.sat_unknown.incr(),
+                Some(Verdict::Detectable(_)) | None => {}
+            },
+            TestResult::TimedOut => {}
         }
         for k in 0..4 * n {
             if cubes.len() >= n {

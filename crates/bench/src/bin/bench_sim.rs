@@ -12,8 +12,6 @@
 //! * **MERO refinement** — `generate_tests` (compile per call) vs
 //!   `generate_tests_with_sim` (one shared compiled tape) end to end on
 //!   c2670.
-//! * **Pattern append** — `PatternSet::extend_from` word-blit vs the
-//!   per-bit path on a 10 000-pattern append (the MERO growth loop).
 //!
 //! Every row records `host_threads` so numbers from different hosts are
 //! machine-distinguishable. When `HTFORGE_OBS` is set, a run report goes
@@ -32,7 +30,6 @@ use htforge_obs::{Json, RunReport};
 use htforge_sim::{PatternSet, SimProgram};
 
 const VECTORS: usize = 16_384;
-const APPEND_PATTERNS: usize = 10_000;
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
 
 /// Median seconds per run over `runs` timed repetitions (after one
@@ -150,40 +147,6 @@ fn main() {
             "    {{\n      \"bench\": \"mero_refinement\",\n      \"circuit\": \"c2670\",\n      \"rare_events\": {},\n      \"host_threads\": {host_threads},\n      \"seconds\": {{\n        \"per_call_compile\": {per_call:.4},\n        \"shared_tape\": {shared:.4}\n      }},\n      \"speedup_shared_tape\": {:.2}\n    }}",
             rare.len(),
             per_call / shared,
-        );
-        rows.push(row);
-    }
-
-    // ---- Pattern append: extend_from word-blit vs per-bit ----------
-    {
-        let inputs = 64;
-        let src = PatternSet::random(inputs, APPEND_PATTERNS, 3);
-        let runs = if quick { 9 } else { 25 };
-        // Unaligned destination (37 % 64 != 0): the shift-splice path,
-        // which is the one MERO's growth loop actually hits.
-        let per_bit = time_median(runs, || {
-            let mut dst = PatternSet::random(inputs, 37, 4);
-            dst.extend_from_per_bit(&src);
-            dst.len()
-        });
-        let blit = time_median(runs, || {
-            let mut dst = PatternSet::random(inputs, 37, 4);
-            dst.extend_from(&src);
-            dst.len()
-        });
-        eprintln!(
-            "extend_from {APPEND_PATTERNS}p append: per-bit {:.2e} pat/s | blit {:.2e} pat/s ({:.1}x)",
-            APPEND_PATTERNS as f64 / per_bit,
-            APPEND_PATTERNS as f64 / blit,
-            per_bit / blit,
-        );
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\n      \"bench\": \"patternset_extend\",\n      \"inputs\": {inputs},\n      \"patterns\": {APPEND_PATTERNS},\n      \"host_threads\": {host_threads},\n      \"patterns_per_sec\": {{\n        \"per_bit\": {:.1},\n        \"word_blit\": {:.1}\n      }},\n      \"speedup_word_blit\": {:.2}\n    }}",
-            APPEND_PATTERNS as f64 / per_bit,
-            APPEND_PATTERNS as f64 / blit,
-            per_bit / blit,
         );
         rows.push(row);
     }

@@ -186,6 +186,45 @@ mod tests {
     }
 
     #[test]
+    fn the_miter_decides_the_events_podem_aborts_on() {
+        // The c2670 events whose deterministic PODEM run hits the
+        // backtrack limit without a verdict. The miter proves three
+        // undetectable, so the engine returns no cubes for them; the
+        // other three get a model that fault simulation confirms.
+        use htforge_atpg::sat::{MiterSolver, Verdict};
+        use htforge_atpg::{fault_simulate, Podem, TestResult};
+        let (nl, rare) = benchmark_profile("c2670");
+        let mut podem = Podem::new(&nl, PodemConfig::default()).unwrap();
+        let mut miter = MiterSolver::new(&nl).unwrap();
+        let mut engine = NDetectEngine::new(&nl, PodemConfig::default()).unwrap();
+        let events: Vec<_> = rare.iter().collect();
+        for (k, undetectable) in [
+            (77, false),
+            (139, false),
+            (281, true),
+            (286, true),
+            (314, true),
+            (322, false),
+        ] {
+            let fault = Fault::for_rare_event(events[k].node, events[k].rare_value);
+            assert_eq!(podem.generate(fault), TestResult::Aborted, "event {k}");
+            match miter.decide(fault) {
+                Verdict::Undetectable => {
+                    assert!(undetectable, "event {k}");
+                    assert!(engine.cubes(fault, 2, 1).is_empty(), "event {k}");
+                }
+                Verdict::Detectable(model) => {
+                    assert!(!undetectable, "event {k}");
+                    let test = PatternSet::from_vectors(nl.inputs().len(), &[model]);
+                    let report = fault_simulate(&nl, &[fault], &test).unwrap();
+                    assert_eq!(report.detected(), 1, "event {k}");
+                }
+                Verdict::Unknown => panic!("conflict limit on event {k}"),
+            }
+        }
+    }
+
+    #[test]
     fn empty_profile_yields_no_tests() {
         let nl = htforge_circuits::load("c17").unwrap();
         let tests = NdAtpgDetection::new(2, 3)

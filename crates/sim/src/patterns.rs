@@ -125,8 +125,8 @@ impl PatternSet {
     /// short or shorter). Column capacity is kept, so a reused buffer —
     /// the server's chunked-simulate path truncates and refills one set
     /// per chunk — allocates only on growth. The freed tail word is
-    /// re-masked so the tail invariant holds for the next `push`/
-    /// `extend_from`/popcount.
+    /// re-masked so the tail invariant holds for the next `push` or
+    /// popcount.
     pub fn truncate(&mut self, new_len: usize) {
         if new_len >= self.len {
             return;
@@ -246,81 +246,6 @@ impl PatternSet {
         (0..self.num_inputs).map(|i| self.get(i, pattern)).collect()
     }
 
-    /// Appends every pattern of `other` to `self`.
-    ///
-    /// Word-level, not bit-level: when the current length is a word
-    /// multiple the columns of `other` are block-copied; otherwise each
-    /// source word is shift-spliced across two destination words. Either
-    /// way the cost is O(inputs × words), not O(inputs × patterns) —
-    /// this is the hot path of MERO's iterative pattern-set growth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input counts differ.
-    pub fn extend_from(&mut self, other: &PatternSet) {
-        assert_eq!(self.num_inputs, other.num_inputs, "input count mismatch");
-        let old_len = self.len;
-        let new_len = old_len + other.len;
-        let words = Self::words_for(new_len);
-        let shift = old_len % 64;
-        // Defensive tail masks: the splice below must stay correct even
-        // if a buffer-reuse path left stale bits above either set's tail
-        // (the OR would smear them into the appended patterns — a latent
-        // corruption that only bites at 64k ± 1 boundaries). One AND per
-        // column is noise next to the copy.
-        let src_tail = Self::tail_mask(other.len);
-        let dst_tail = Self::tail_mask(old_len);
-        for (input_bits, src) in self.bits.iter_mut().zip(&other.bits) {
-            input_bits.resize(words, 0);
-            if shift == 0 {
-                let dst = &mut input_bits[old_len / 64..][..src.len()];
-                dst.copy_from_slice(src);
-                if let Some(last) = dst.last_mut() {
-                    *last &= src_tail;
-                }
-            } else {
-                // Unaligned: source word k straddles destination words
-                // `old_len/64 + k` and the next one. ORing is safe once
-                // both tails are clamped: the destination tail above
-                // `shift` is zeroed here and every later word was just
-                // resized to zero. The `>> (64 - shift)` is split in
-                // two to avoid the shift-by-64 edge (shift >= 1 here).
-                input_bits[old_len / 64] &= dst_tail;
-                for (k, &s) in src.iter().enumerate() {
-                    let s = if k + 1 == src.len() { s & src_tail } else { s };
-                    let w = old_len / 64 + k;
-                    input_bits[w] |= s << shift;
-                    if w + 1 < words {
-                        input_bits[w + 1] |= (s >> (63 - shift)) >> 1;
-                    }
-                }
-            }
-        }
-        self.len = new_len;
-    }
-
-    /// The pre-word-blit [`extend_from`](Self::extend_from): one
-    /// [`get`](Self::get)/[`set`](Self::set) round trip per (input,
-    /// pattern). Kept as the proptest oracle and the benchmark baseline.
-    #[doc(hidden)]
-    pub fn extend_from_per_bit(&mut self, other: &PatternSet) {
-        assert_eq!(self.num_inputs, other.num_inputs, "input count mismatch");
-        let old_len = self.len;
-        let new_len = old_len + other.len;
-        let words = Self::words_for(new_len);
-        for input_bits in &mut self.bits {
-            input_bits.resize(words, 0);
-        }
-        self.len = new_len;
-        for p in 0..other.len {
-            for i in 0..self.num_inputs {
-                if other.get(i, p) {
-                    self.set(i, old_len + p, true);
-                }
-            }
-        }
-    }
-
     /// Appends a single pattern (one word append or OR per input — no
     /// per-bit index arithmetic beyond the shared shift).
     ///
@@ -332,9 +257,8 @@ impl PatternSet {
         let p = self.len;
         let bit = 1u64 << (p % 64);
         let grow = p.is_multiple_of(64);
-        // Clamp stale bits at and above position p before setting it —
-        // defensive twin of the `extend_from` masks, so a corrupted tail
-        // cannot make the new pattern read back wrong.
+        // Clamp stale bits at and above position p before setting it, so
+        // a corrupted tail cannot make the new pattern read back wrong.
         let below = bit - 1;
         for (input_bits, &value) in self.bits.iter_mut().zip(vector) {
             if grow {
@@ -408,36 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_push() {
-        let mut a = PatternSet::from_vectors(2, &[vec![true, false]]);
-        let b = PatternSet::from_vectors(2, &[vec![false, true], vec![true, true]]);
-        a.extend_from(&b);
-        a.push(&[false, false]);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.pattern(0), vec![true, false]);
-        assert_eq!(a.pattern(1), vec![false, true]);
-        assert_eq!(a.pattern(2), vec![true, true]);
-        assert_eq!(a.pattern(3), vec![false, false]);
-    }
-
-    #[test]
-    fn extend_from_unaligned_splices_across_words() {
-        // 70 + 130 patterns: shift = 6, source spans 3 words, result 4.
-        let mut a = PatternSet::random(3, 70, 11);
-        let b = PatternSet::random(3, 130, 22);
-        let mut oracle = a.clone();
-        a.extend_from(&b);
-        oracle.extend_from_per_bit(&b);
-        assert_eq!(a, oracle);
-        assert_eq!(a.len(), 200);
-        // Tail invariant survives the splice.
-        let tail = PatternSet::tail_mask(200);
-        for i in 0..3 {
-            assert_eq!(a.input_words(i).last().unwrap() & !tail, 0, "input {i}");
-        }
-    }
-
-    #[test]
     fn push_appends_word_at_a_time() {
         let mut ps = PatternSet::zeros(2, 0);
         for p in 0..130 {
@@ -450,30 +344,6 @@ mod tests {
             assert_eq!(ps.get(1, p), p % 3 == 0, "pattern {p}");
         }
         assert_eq!(ps.input_words(0)[2] & !PatternSet::tail_mask(130), 0);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        #[test]
-        fn extend_from_matches_per_bit_path(
-            inputs in 1usize..6,
-            len_a in 0usize..200,
-            len_b in 0usize..200,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            let mut fast = PatternSet::random(inputs, len_a, seed);
-            let b = PatternSet::random(inputs, len_b, seed ^ 0xDEAD);
-            let mut slow = fast.clone();
-            fast.extend_from(&b);
-            slow.extend_from_per_bit(&b);
-            proptest::prop_assert_eq!(&fast, &slow);
-            // Round-trip spot check: the appended patterns read back.
-            for p in 0..len_b {
-                for i in 0..inputs {
-                    proptest::prop_assert_eq!(fast.get(i, len_a + p), b.get(i, p));
-                }
-            }
-        }
     }
 
     /// Plants garbage above the tail of every column — the corruption a
@@ -548,22 +418,6 @@ mod tests {
             let mut oracle = clean;
             oracle.push(&[true, false]);
             assert_eq!(ps, oracle, "len {boundary}");
-        }
-    }
-
-    #[test]
-    fn extend_from_survives_corrupted_tails_at_word_boundaries() {
-        for dst_len in [63usize, 64, 65] {
-            for src_len in [63usize, 64, 65] {
-                let mut dst = PatternSet::random(2, dst_len, 17);
-                let mut src = PatternSet::random(2, src_len, 19);
-                let mut oracle = dst.clone();
-                oracle.extend_from_per_bit(&src);
-                corrupt_tail(&mut dst);
-                corrupt_tail(&mut src);
-                dst.extend_from(&src);
-                assert_eq!(dst, oracle, "{dst_len}+{src_len}");
-            }
         }
     }
 

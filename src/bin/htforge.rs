@@ -301,16 +301,18 @@ fn cmd_grade(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
 
 fn cmd_detect(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     use htforge::core::insert::TrojanInstance;
-    use htforge::detect::evaluate_designs;
+    use htforge::detect::CoverageEvaluator;
 
     let infected_list = opts
         .get("infected")
         .ok_or("detect requires --infected FILE[,FILE...]")?;
     let n: usize = opts.number("n", 5)?;
     let golden = load_netlist(spec)?;
-    let comb = golden.scan_cut();
+    // One scan-cut and one compiled golden model grade every scheme.
+    let evaluator = CoverageEvaluator::new(&golden)?;
+    let comb = evaluator.golden();
     let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
-    let rare = RareNodeExtractor::new(0.20).extract(&comb, &patterns)?;
+    let rare = RareNodeExtractor::new(0.20).extract(comb, &patterns)?;
 
     // Reconstruct minimal trojan metadata from the netlists: every
     // htforge-inserted payload gate is named `ht…_payload`; its trigger
@@ -370,8 +372,8 @@ fn cmd_detect(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         designs.len()
     );
     for scheme in &schemes {
-        let tests = scheme.generate_tests(&comb, &rare)?;
-        let report = evaluate_designs(&golden, &designs, &tests)?;
+        let tests = scheme.generate_tests(comb, &rare)?;
+        let report = evaluator.evaluate(&designs, &tests)?;
         println!(
             "{:>8}: {} tests, TC {}/{} ({:.1}%), DC {}/{} ({:.1}%)",
             scheme.name(),
