@@ -6,8 +6,8 @@
 //! classic parallel-pattern single-fault propagation (PPSFP) scheme, and
 //! the standard way to report stuck-at coverage for generated test sets.
 
-use htforge_netlist::{graph, netlist::NodeId, Netlist, NetlistError, NodeKind};
-use htforge_sim::{NodeValues, PatternSet, Simulator};
+use htforge_netlist::{graph, netlist::NodeId, Netlist, NodeKind};
+use htforge_sim::{NodeValues, PatternSet, SimProgram};
 
 use crate::fault::Fault;
 
@@ -52,23 +52,27 @@ pub fn all_faults(nl: &Netlist) -> Vec<Fault> {
 }
 
 /// Simulates `faults` under `tests` and reports which are detected
-/// (some pattern produces a primary-output difference).
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+/// (some pattern produces a primary-output difference). `prog` is the
+/// caller's compilation of `nl`; it runs the good machine.
 ///
 /// # Panics
 ///
-/// Panics if the pattern width does not match the input count.
+/// Panics if `prog` was compiled from a different netlist (node-count
+/// mismatch) or if the pattern width does not match the input count.
+#[must_use]
 pub fn fault_simulate(
+    prog: &SimProgram,
     nl: &Netlist,
     faults: &[Fault],
     tests: &PatternSet,
-) -> Result<FaultSimReport, NetlistError> {
-    let sim = Simulator::new(nl)?;
-    let good: NodeValues = sim.run_on(nl, tests);
-    let order = graph::topo_order(nl)?;
+) -> FaultSimReport {
+    assert_eq!(
+        nl.node_count(),
+        prog.node_count(),
+        "program compiled from a different netlist"
+    );
+    let good: NodeValues = prog.run(tests);
+    let order = graph::topo_order(nl).expect("a compiled netlist is acyclic");
     let mut topo_pos = vec![0u32; nl.node_count()];
     for (pos, &id) in order.iter().enumerate() {
         topo_pos[id.index()] = pos as u32;
@@ -183,7 +187,7 @@ pub fn fault_simulate(
         }
     }
 
-    Ok(FaultSimReport { detected })
+    FaultSimReport { detected }
 }
 
 #[cfg(test)]
@@ -191,6 +195,10 @@ mod tests {
     use super::*;
     use crate::podem::{Podem, PodemConfig, TestResult};
     use htforge_netlist::bench;
+
+    fn compile(nl: &Netlist) -> SimProgram {
+        SimProgram::compile(nl).unwrap()
+    }
 
     const C17: &str = "\
 INPUT(1)
@@ -217,7 +225,7 @@ OUTPUT(23)
         let tests = PatternSet::from_vectors(5, &vectors);
         let faults = all_faults(&nl);
         assert_eq!(faults.len(), 22);
-        let report = fault_simulate(&nl, &faults, &tests).unwrap();
+        let report = fault_simulate(&compile(&nl), &nl, &faults, &tests);
         assert_eq!(report.detected(), 22, "c17 has no redundant faults");
         assert!((report.coverage() - 100.0).abs() < 1e-9);
     }
@@ -226,7 +234,7 @@ OUTPUT(23)
     fn empty_test_set_detects_nothing() {
         let nl = bench::parse(C17, "c17").unwrap();
         let tests = PatternSet::zeros(5, 0);
-        let report = fault_simulate(&nl, &all_faults(&nl), &tests).unwrap();
+        let report = fault_simulate(&compile(&nl), &nl, &all_faults(&nl), &tests);
         assert_eq!(report.detected(), 0);
     }
 
@@ -235,13 +243,14 @@ OUTPUT(23)
         // Cross-validation: every PODEM detect-mode cube, filled both
         // ways, detects its fault under fault simulation.
         let nl = bench::parse(C17, "c17").unwrap();
+        let prog = compile(&nl);
         let mut podem = Podem::new(&nl, PodemConfig::default()).unwrap();
         for fault in all_faults(&nl) {
             let TestResult::Test(cube) = podem.generate(fault) else {
                 panic!("{fault} should be testable");
             };
             let tests = PatternSet::from_vectors(5, &[cube.fill_with(false), cube.fill_with(true)]);
-            let report = fault_simulate(&nl, &[fault], &tests).unwrap();
+            let report = fault_simulate(&prog, &nl, &[fault], &tests);
             assert_eq!(report.detected(), 1, "{fault} cube {cube}");
         }
     }
@@ -253,7 +262,7 @@ OUTPUT(23)
         let nl = bench::parse(src, "t").unwrap();
         let y = nl.find("y").unwrap();
         let tests = PatternSet::from_vectors(1, &[vec![false], vec![true]]);
-        let report = fault_simulate(&nl, &[Fault::stuck_at(y, true)], &tests).unwrap();
+        let report = fault_simulate(&compile(&nl), &nl, &[Fault::stuck_at(y, true)], &tests);
         assert_eq!(report.detected(), 0);
     }
 
@@ -263,11 +272,12 @@ OUTPUT(23)
         let nl = bench::parse("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n", "t").unwrap();
         let y = nl.find("y").unwrap();
         let tests = PatternSet::from_vectors(1, &[vec![true], vec![true], vec![true]]);
+        let prog = compile(&nl);
         // y s-a-1 never differs when a is always 1.
-        let report = fault_simulate(&nl, &[Fault::stuck_at(y, true)], &tests).unwrap();
+        let report = fault_simulate(&prog, &nl, &[Fault::stuck_at(y, true)], &tests);
         assert_eq!(report.detected(), 0);
         // y s-a-0 differs on every pattern.
-        let report = fault_simulate(&nl, &[Fault::stuck_at(y, false)], &tests).unwrap();
+        let report = fault_simulate(&prog, &nl, &[Fault::stuck_at(y, false)], &tests);
         assert_eq!(report.detected(), 1);
     }
 }

@@ -6,10 +6,9 @@
 //! cube diversity comes from re-running PODEM with randomized backtrace
 //! input selection under different seeds.
 //!
-//! A detect-mode fault on which the deterministic run aborts is first
-//! put to a SAT miter ([`crate::sat`]): when it proves the fault
-//! undetectable, the randomized runs, which could never find a test, are
-//! skipped.
+//! A fault on which the deterministic run aborts is first put to a SAT
+//! miter ([`crate::sat`]): when it proves the fault undetectable, the
+//! randomized runs, which could never find a test, are skipped.
 
 use crate::cube::Cube;
 use crate::fault::Fault;
@@ -30,6 +29,10 @@ use htforge_netlist::{Netlist, NetlistError};
 ///
 /// Propagates netlist errors from engine construction (cyclic or
 /// sequential netlists).
+///
+/// # Panics
+///
+/// Panics if `base_config` is not in [`PodemMode::Detect`].
 ///
 /// # Examples
 ///
@@ -57,51 +60,42 @@ pub fn n_detect_cubes(
     Ok(NDetectEngine::new(nl, base_config)?.cubes(fault, n, seed))
 }
 
-/// A reusable N-detect cube generator: one deterministic PODEM engine
-/// for the SCOAP-guided first run, one randomized engine, reseeded
-/// before every attempt, and in detect mode a [`MiterSolver`] for the
-/// faults the first run aborts on. The cubes for a fault depend only on
-/// the fault, `n` and the seed, never on what the engine searched
-/// before, so one engine per worker thread gives the same cubes as
-/// [`n_detect_cubes`].
+/// A reusable N-detect cube generator: one detect-mode PODEM engine,
+/// reseeded between the SCOAP-guided first run and each randomized
+/// attempt, and a [`MiterSolver`] for the faults the first run aborts
+/// on. The cubes for a fault depend only on the fault, `n` and the seed,
+/// never on what the engine searched before, so one engine per worker
+/// thread gives the same cubes as [`n_detect_cubes`].
 #[derive(Debug)]
 pub struct NDetectEngine {
-    deterministic: Podem,
-    randomized: Podem,
-    miter: Option<MiterSolver>,
+    podem: Podem,
+    miter: MiterSolver,
     unsat: htforge_obs::Counter,
     sat_unknown: htforge_obs::Counter,
 }
 
 impl NDetectEngine {
-    /// Builds both engines (and, in detect mode, the miter solver) for
-    /// `nl`; `config`'s `random_seed` is ignored.
+    /// Builds the engine and the miter solver for `nl`; `config`'s
+    /// `random_seed` is ignored.
     ///
     /// # Errors
     ///
     /// Propagates netlist errors from engine construction (cyclic or
     /// sequential netlists).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is not in [`PodemMode::Detect`]: N-detect
+    /// cubes are stuck-at tests.
     pub fn new(nl: &Netlist, config: PodemConfig) -> Result<Self, NetlistError> {
+        assert_eq!(
+            config.mode,
+            PodemMode::Detect,
+            "N-detect cubes are detect-mode tests"
+        );
         Ok(NDetectEngine {
-            deterministic: Podem::new(
-                nl,
-                PodemConfig {
-                    random_seed: None,
-                    ..config
-                },
-            )?,
-            randomized: Podem::new(
-                nl,
-                PodemConfig {
-                    // Replaced by `reseed` before every attempt.
-                    random_seed: Some(0),
-                    ..config
-                },
-            )?,
-            miter: match config.mode {
-                PodemMode::Detect => Some(MiterSolver::new(nl)?),
-                PodemMode::Justify => None,
-            },
+            podem: Podem::new(nl, config)?,
+            miter: MiterSolver::new(nl)?,
             unsat: htforge_obs::counter("ndatpg.unsat"),
             sat_unknown: htforge_obs::counter("ndatpg.sat_unknown"),
         })
@@ -109,28 +103,28 @@ impl NDetectEngine {
 
     /// Up to `n` distinct cubes testing `fault` (see [`n_detect_cubes`]).
     ///
-    /// The deterministic run goes first. When it aborts in detect mode,
-    /// the miter solver decides the fault: a fault it proves undetectable
-    /// returns no cubes without any randomized run (counted in
-    /// `ndatpg.unsat`); otherwise, satisfiable or past the solver's
-    /// conflict limit (`ndatpg.sat_unknown`), the randomized runs go
-    /// ahead. Skipping runs that cannot find a test leaves the cubes
-    /// unchanged.
+    /// The SCOAP-guided run goes first. When it aborts, the miter solver
+    /// decides the fault: a fault it proves undetectable returns no cubes
+    /// without any randomized run (counted in `ndatpg.unsat`); otherwise,
+    /// satisfiable or past the solver's conflict limit
+    /// (`ndatpg.sat_unknown`), the randomized runs go ahead. Skipping
+    /// runs that cannot find a test leaves the cubes unchanged.
     pub fn cubes(&mut self, fault: Fault, n: usize, seed: u64) -> Vec<Cube> {
         let mut cubes: Vec<Cube> = Vec::new();
         if n == 0 {
             return cubes;
         }
-        match self.deterministic.generate(fault) {
+        self.podem.reseed(None);
+        match self.podem.generate(fault) {
             TestResult::Test(cube) => cubes.push(cube),
             TestResult::Untestable => return cubes,
-            TestResult::Aborted => match self.miter.as_mut().map(|m| m.decide(fault)) {
-                Some(Verdict::Undetectable) => {
+            TestResult::Aborted => match self.miter.decide(fault) {
+                Verdict::Undetectable => {
                     self.unsat.incr();
                     return cubes;
                 }
-                Some(Verdict::Unknown) => self.sat_unknown.incr(),
-                Some(Verdict::Detectable(_)) | None => {}
+                Verdict::Unknown => self.sat_unknown.incr(),
+                Verdict::Detectable(_) => {}
             },
             TestResult::TimedOut => {}
         }
@@ -138,11 +132,11 @@ impl NDetectEngine {
             if cubes.len() >= n {
                 break;
             }
-            self.randomized.reseed(
+            self.podem.reseed(Some(
                 seed.wrapping_add(k as u64)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            if let TestResult::Test(cube) = self.randomized.generate(fault) {
+            ));
+            if let TestResult::Test(cube) = self.podem.generate(fault) {
                 if !cubes.contains(&cube) {
                     cubes.push(cube);
                 }

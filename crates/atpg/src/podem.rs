@@ -267,13 +267,14 @@ impl Podem {
         &self.config
     }
 
-    /// Reseeds the randomized-backtrace RNG (no-op for deterministic
-    /// engines). Callers that parallelize cube generation use this to
-    /// keep per-fault results independent of work partitioning.
-    pub fn reseed(&mut self, seed: u64) {
-        if self.rng.is_some() {
-            self.rng = Some(StdRng::seed_from_u64(seed));
-        }
+    /// Sets [`PodemConfig::random_seed`] for the next searches: `None`
+    /// makes backtrace SCOAP-guided, `Some(seed)` restarts randomized
+    /// backtrace from `seed`. Callers that parallelize cube generation
+    /// reseed before each fault to keep per-fault results independent of
+    /// work partitioning.
+    pub fn reseed(&mut self, seed: Option<u64>) {
+        self.config.random_seed = seed;
+        self.rng = seed.map(StdRng::seed_from_u64);
     }
 
     /// Runs PODEM for `fault` and returns the outcome.

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use htforge_atpg::sat::{MiterSolver, Verdict};
 use htforge_atpg::{fault_simulate, Fault};
 use htforge_netlist::{GateKind, Netlist, NodeId};
-use htforge_sim::PatternSet;
+use htforge_sim::{PatternSet, SimProgram};
 
 /// Builds a random DAG from a byte script: each 6-byte chunk adds one
 /// gate of any of the eight kinds with one to four fan-ins drawn from
@@ -122,6 +122,7 @@ proptest! {
         let vectors = all_vectors(num_inputs);
         let good = simulate(&nl, &vectors, None);
         let mut miter = MiterSolver::new(&nl).expect("valid");
+        let prog = SimProgram::compile(&nl).expect("valid");
         for id in nl.node_ids() {
             for stuck in [false, true] {
                 let fault = Fault::stuck_at(id, stuck);
@@ -130,7 +131,7 @@ proptest! {
                     Verdict::Detectable(model) => {
                         prop_assert!(truth, "a model for undetectable {fault}");
                         let test = PatternSet::from_vectors(num_inputs, &[model]);
-                        let report = fault_simulate(&nl, &[fault], &test).expect("valid");
+                        let report = fault_simulate(&prog, &nl, &[fault], &test);
                         prop_assert_eq!(report.detected(), 1, "the model misses {}", fault);
                     }
                     Verdict::Undetectable => prop_assert!(!truth, "UNSAT on detectable {fault}"),

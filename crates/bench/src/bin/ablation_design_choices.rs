@@ -18,7 +18,7 @@ use htforge_bench::{HarnessOpts, Table};
 use htforge_core::{
     CompatGraph, InsertionConfig, InsertionFramework, PayloadStrategy, TriggerPlan,
 };
-use htforge_detect::evaluate_designs;
+use htforge_detect::CoverageEvaluator;
 use htforge_netlist::AreaModel;
 use htforge_sim::{PatternSet, RareNodeExtractor};
 
@@ -32,10 +32,12 @@ fn main() {
     let vectors = if opts.full { 10_000 } else { 4_000 };
 
     let nl = htforge_circuits::load(&circuit).expect("known circuit");
-    let comb = nl.scan_cut();
+    // One scan-cut, compiled golden model grades every payload strategy.
+    let evaluator = CoverageEvaluator::new(&nl).expect("valid netlist");
+    let comb = evaluator.golden();
     let patterns = PatternSet::random(comb.inputs().len(), vectors, 0xAB1A);
     let rare = RareNodeExtractor::new(0.20)
-        .extract(&comb, &patterns)
+        .extract(comb, &patterns)
         .expect("valid netlist");
     println!("ablations on {circuit} ({} rare nodes)\n", rare.len());
 
@@ -58,7 +60,7 @@ fn main() {
             ..PodemConfig::default()
         };
         let start = std::time::Instant::now();
-        let graph = CompatGraph::build(&comb, &rare, config).expect("combinational");
+        let graph = CompatGraph::build(comb, &rare, config).expect("combinational");
         let elapsed = start.elapsed();
         let n = graph.len();
         let possible = n * n.saturating_sub(1) / 2;
@@ -103,7 +105,9 @@ fn main() {
             tests.push(&d.trojan.activation_cube.fill_with(false));
             tests.push(&d.trojan.activation_cube.fill_with(true));
         }
-        let report = evaluate_designs(&nl, &outcome.infected, &tests).expect("valid designs");
+        let report = evaluator
+            .evaluate(&outcome.infected, &tests)
+            .expect("valid designs");
         let dc_given_tc = if report.triggered() == 0 {
             0.0
         } else {

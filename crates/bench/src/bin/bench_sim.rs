@@ -9,9 +9,6 @@
 //!   patterns.
 //! * **Small batch** — one 64-pattern (1-word) run per circuit, the
 //!   regime of MERO refinement and cube checks.
-//! * **MERO refinement** — `generate_tests` (compile per call) vs
-//!   `generate_tests_with_sim` (one shared compiled tape) end to end on
-//!   c2670.
 //!
 //! Every row records `host_threads` so numbers from different hosts are
 //! machine-distinguishable. When `HTFORGE_OBS` is set, a run report goes
@@ -109,44 +106,6 @@ fn main() {
             "    {{\n      \"bench\": \"small_batch\",\n      \"circuit\": \"{name}\",\n      \"gates\": {},\n      \"patterns\": {len},\n      \"host_threads\": {host_threads},\n      \"patterns_per_sec\": {:.1}\n    }}",
             nl.gate_count(),
             len as f64 / sec,
-        );
-        rows.push(row);
-    }
-
-    // ---- MERO refinement: shared compiled tape vs per-call compile -
-    // `generate_tests` pays a fresh levelization + tape build per call,
-    // `generate_tests_with_sim` reuses one compiled program across the
-    // whole campaign.
-    {
-        use htforge_detect::{DetectionScheme, MeroDetection};
-        use htforge_sim::{RareNodeExtractor, Simulator};
-
-        let nl = htforge_circuits::load("c2670").expect("known circuit");
-        let profile = PatternSet::random(nl.inputs().len(), 2_000, 1);
-        let rare = RareNodeExtractor::new(0.25)
-            .extract(&nl, &profile)
-            .expect("profile");
-        let mero = MeroDetection::new(2, if quick { 100 } else { 200 }, 42);
-        let runs = if quick { 3 } else { 7 };
-        let per_call = time_median(runs, || mero.generate_tests(&nl, &rare).unwrap().len());
-        let sim = Simulator::new(&nl).expect("compiles");
-        let shared = time_median(runs, || {
-            mero.generate_tests_with_sim(&nl, &sim, &rare)
-                .unwrap()
-                .len()
-        });
-        eprintln!(
-            "mero refinement c2670: per-call compile {:.3}s | shared tape {:.3}s ({:.2}x)",
-            per_call,
-            shared,
-            per_call / shared,
-        );
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\n      \"bench\": \"mero_refinement\",\n      \"circuit\": \"c2670\",\n      \"rare_events\": {},\n      \"host_threads\": {host_threads},\n      \"seconds\": {{\n        \"per_call_compile\": {per_call:.4},\n        \"shared_tape\": {shared:.4}\n      }},\n      \"speedup_shared_tape\": {:.2}\n    }}",
-            rare.len(),
-            per_call / shared,
         );
         rows.push(row);
     }

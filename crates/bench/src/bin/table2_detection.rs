@@ -36,7 +36,7 @@ use htforge_bench::campaign::{row_strings, str_row, Campaign, CircuitOutcome};
 use htforge_bench::{HarnessOpts, Table};
 use htforge_core::{clique, CompatGraph, InfectedDesign, InsertionConfig, InsertionFramework};
 use htforge_detect::{
-    evaluate_designs, DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection,
+    CoverageEvaluator, DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection,
 };
 use htforge_netlist::Netlist;
 use htforge_obs::{write_atomic, Json, RunReport};
@@ -135,13 +135,15 @@ struct Params {
 fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
     htforge_obs::global().reset();
     let nl = htforge_circuits::load(name).map_err(|e| e.to_string())?;
-    let comb = nl.scan_cut();
+    // One scan-cut, compiled golden model grades every family.
+    let evaluator = CoverageEvaluator::new(&nl).map_err(|e| e.to_string())?;
+    let comb = evaluator.golden();
     let profile = PatternSet::random(comb.inputs().len(), p.vectors, 0x7AB2);
     let rare = RareNodeExtractor::new(0.20)
-        .extract(&comb, &profile)
+        .extract(comb, &profile)
         .map_err(|e| e.to_string())?;
 
-    let families = generate_families(&nl, &comb, &rare, p.instances, p.vectors)?;
+    let families = generate_families(&nl, comb, &rare, p.instances, p.vectors)?;
     let schemes: Vec<Box<dyn DetectionScheme>> = vec![
         Box::new(RandomDetection::new(p.random_tests, 11)),
         Box::new(MeroDetection::new(p.mero_n, p.random_tests / 4, 12)),
@@ -151,14 +153,15 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
     let mut agg = Vec::new();
     for scheme in &schemes {
         let tests = scheme
-            .generate_tests(&comb, &rare)
+            .generate_tests(comb, &rare)
             .map_err(|e| e.to_string())?;
         for family in &families {
             if family.designs.is_empty() {
                 continue;
             }
-            let report =
-                evaluate_designs(&nl, &family.designs, &tests).map_err(|e| e.to_string())?;
+            let report = evaluator
+                .evaluate(&family.designs, &tests)
+                .map_err(|e| e.to_string())?;
             agg.push(Json::obj(vec![
                 ("family", Json::Str(family.name.to_owned())),
                 ("scheme", Json::Str(scheme.name().to_owned())),

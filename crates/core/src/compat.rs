@@ -51,7 +51,7 @@ impl CubeWorker {
         htforge_obs::faultpoint!("compat.cube");
         if let Some(seed) = self.base_seed {
             // Deterministic per fault, independent of work partitioning.
-            self.podem.reseed(seed.wrapping_add(index as u64));
+            self.podem.reseed(Some(seed.wrapping_add(index as u64)));
         }
         let fault = Fault::for_rare_event(event.0, event.1);
         match witness {

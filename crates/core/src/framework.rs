@@ -457,7 +457,7 @@ impl InsertionFramework {
         htforge_obs::faultpoint!("framework.validate");
         for (i, design) in infected.iter().enumerate() {
             design.netlist.validate()?;
-            validate_functional(design, i)?;
+            validate_functional(&design.netlist, std::slice::from_ref(&design.trojan), i)?;
         }
         timings.validation = t5.finish();
 
@@ -484,7 +484,9 @@ impl InsertionFramework {
     /// **one** netlist (the paper's "single or multiple HT instances"
     /// configuration). Instances are added sequentially; an instance
     /// whose payload would create a cycle with previously inserted
-    /// trojan logic is skipped.
+    /// trojan logic is skipped. The final netlist is validated like
+    /// every design of [`InsertionFramework::run`]: each instance's
+    /// trigger must fire under its own cube in the combined netlist.
     ///
     /// # Errors
     ///
@@ -554,43 +556,58 @@ impl InsertionFramework {
         if instances.is_empty() {
             return Err(InsertionError::NoPayloadNet);
         }
+        // The structural and functional checks of Phase 5, on the final
+        // netlist: a later instance must not stop an earlier one firing.
         let v = htforge_obs::span("validation");
         combined.validate()?;
+        validate_functional(&combined, &instances, 0)?;
         v.finish();
         Ok((combined, instances, outcome.degradations))
     }
 }
 
-/// Functional validation of one emitted design: under its activation
-/// cube (X bits filled with 0) the trigger must fire, and the payload
-/// gate must show the configured effect (`Flip` inverts the victim net,
-/// `ForceZero`/`ForceOne` pin it). One 1-pattern kernel run checks both.
-fn validate_functional(design: &InfectedDesign, index: usize) -> Result<(), InsertionError> {
-    let cut = design.netlist.scan_cut();
-    let trojan = &design.trojan;
-    let vector = trojan.activation_cube.fill_with(false);
-    assert_eq!(
-        vector.len(),
-        cut.inputs().len(),
-        "activation cube width must match the scan-cut input count"
-    );
-    let prog = SimProgram::compile(&cut)?;
-    let values = prog.run(&PatternSet::from_vectors(vector.len(), &[vector]));
-    if !values.value(trojan.trigger_output, 0) {
-        return Err(InsertionError::Internal(format!(
-            "activation cube fails to fire the trigger of instance {index}"
-        )));
+/// Functional validation of the trojans in one netlist: under each
+/// instance's activation cube (X bits filled with 0) its trigger must
+/// fire, and its payload gate must show the configured effect (`Flip`
+/// inverts the victim net, `ForceZero`/`ForceOne` pin it). The netlist
+/// is scan-cut and compiled once, and one kernel run checks every
+/// instance, one column each. Errors name instance `first + k` for the
+/// `k`-th of `instances`.
+fn validate_functional(
+    nl: &Netlist,
+    instances: &[TrojanInstance],
+    first: usize,
+) -> Result<(), InsertionError> {
+    let cut = nl.scan_cut();
+    let mut vectors = PatternSet::zeros(cut.inputs().len(), 0);
+    for trojan in instances {
+        let vector = trojan.activation_cube.fill_with(false);
+        assert_eq!(
+            vector.len(),
+            cut.inputs().len(),
+            "activation cube width must match the scan-cut input count"
+        );
+        vectors.push(&vector);
     }
-    let expected = match trojan.payload_kind {
-        PayloadKind::Flip => !values.value(trojan.payload_net, 0),
-        PayloadKind::ForceZero => false,
-        PayloadKind::ForceOne => true,
-    };
-    if values.value(trojan.payload_gate, 0) != expected {
-        return Err(InsertionError::Internal(format!(
-            "payload gate of instance {index} does not show the {:?} effect",
-            trojan.payload_kind
-        )));
+    let values = SimProgram::compile(&cut)?.run(&vectors);
+    for (k, trojan) in instances.iter().enumerate() {
+        let index = first + k;
+        if !values.value(trojan.trigger_output, k) {
+            return Err(InsertionError::Internal(format!(
+                "activation cube fails to fire the trigger of instance {index}"
+            )));
+        }
+        let expected = match trojan.payload_kind {
+            PayloadKind::Flip => !values.value(trojan.payload_net, k),
+            PayloadKind::ForceZero => false,
+            PayloadKind::ForceOne => true,
+        };
+        if values.value(trojan.payload_gate, k) != expected {
+            return Err(InsertionError::Internal(format!(
+                "payload gate of instance {index} does not show the {:?} effect",
+                trojan.payload_kind
+            )));
+        }
     }
     Ok(())
 }
@@ -825,6 +842,27 @@ mod tests {
     }
 
     #[test]
+    fn combined_insertion_on_a_sequential_host() {
+        // s1423 is scan-cut for profiling and validation: every
+        // instance's cube spans the scan-cut inputs, and the combined
+        // netlist keeps its flip-flops.
+        let nl = htforge_circuits::load("s1423").unwrap();
+        let (combined, instances) = InsertionFramework::new(quick_config(8, 3))
+            .run_combined(&nl)
+            .unwrap();
+        assert!(combined.validate().is_ok());
+        assert!(!instances.is_empty());
+        assert_eq!(combined.dffs().len(), nl.dffs().len());
+        let cut = combined.scan_cut();
+        let sim = SimProgram::compile(&cut).unwrap();
+        for t in &instances {
+            let v = t.activation_cube.fill_with(false);
+            let ps = PatternSet::from_vectors(cut.inputs().len(), &[v]);
+            assert!(sim.run(&ps).value(t.trigger_output, 0));
+        }
+    }
+
+    #[test]
     fn force_payloads_have_expected_polarity() {
         for (kind, expect_when_triggered) in [
             (PayloadKind::ForceZero, false),
@@ -870,7 +908,8 @@ mod tests {
         };
         let mut outcome = InsertionFramework::new(cfg).run(&nl).unwrap();
         let design = outcome.infected.remove(0);
-        validate_functional(&design, 0).expect("emitted designs validate");
+        validate_functional(&design.netlist, std::slice::from_ref(&design.trojan), 0)
+            .expect("emitted designs validate");
         design
     }
 
@@ -892,7 +931,7 @@ mod tests {
             .unwrap()
             .run(&PatternSet::from_vectors(v.len(), &[v]));
         assert!(!vals.value(design.trojan.trigger_output, 0), "precondition");
-        match validate_functional(&design, 3) {
+        match validate_functional(&design.netlist, std::slice::from_ref(&design.trojan), 3) {
             Err(InsertionError::Internal(msg)) => {
                 assert!(
                     msg.contains("fails to fire the trigger of instance 3"),
@@ -910,7 +949,7 @@ mod tests {
         // Point the payload gate at the victim net itself: under the
         // cube it shows the victim's value, never its inversion.
         design.trojan.payload_gate = design.trojan.payload_net;
-        match validate_functional(&design, 5) {
+        match validate_functional(&design.netlist, std::slice::from_ref(&design.trojan), 5) {
             Err(InsertionError::Internal(msg)) => {
                 assert!(msg.contains("payload gate of instance 5"), "{msg}")
             }

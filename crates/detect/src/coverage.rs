@@ -9,7 +9,7 @@
 
 use htforge_core::InfectedDesign;
 use htforge_netlist::{Netlist, NetlistError};
-use htforge_sim::{PatternSet, Simulator};
+use htforge_sim::{PatternSet, SimProgram};
 
 /// Verdict for one infected design under one test set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,29 +70,29 @@ fn percent(num: usize, den: usize) -> f64 {
 /// A coverage evaluator bound to one golden design.
 ///
 /// Construction scan-cuts the golden netlist (when sequential) and
-/// compiles its simulator once; every [`evaluate`](Self::evaluate) call
-/// reuses both. Campaigns that grade several test sets against the same
-/// design batch — one per [`DetectionScheme`](crate::DetectionScheme)
-/// under comparison — pay one golden compile instead of one per scheme.
+/// compiles it once; every [`evaluate`](Self::evaluate) call reuses
+/// both. Graders hold one evaluator per golden design, so grading one
+/// test set per [`DetectionScheme`](crate::DetectionScheme) under
+/// comparison pays one golden compile, not one per scheme.
 #[derive(Debug)]
 pub struct CoverageEvaluator {
     golden_cut: Netlist,
-    golden_sim: Simulator,
+    golden_prog: SimProgram,
 }
 
 impl CoverageEvaluator {
     /// Prepares an evaluator for `golden` (scan-cutting sequential
-    /// designs and compiling the simulation tape up front).
+    /// designs and compiling the simulation program up front).
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError`] for cyclic netlists.
     pub fn new(golden: &Netlist) -> Result<Self, NetlistError> {
         let golden_cut = golden.scan_cut();
-        let golden_sim = Simulator::new(&golden_cut)?;
+        let golden_prog = SimProgram::compile(&golden_cut)?;
         Ok(CoverageEvaluator {
             golden_cut,
-            golden_sim,
+            golden_prog,
         })
     }
 
@@ -104,7 +104,18 @@ impl CoverageEvaluator {
         &self.golden_cut
     }
 
-    /// Evaluates `designs` against `tests` (see [`evaluate_designs`]).
+    /// Evaluates `designs` against `tests`.
+    ///
+    /// Sequential infected designs are scan-cut here; `tests` must be
+    /// sized for the scan-cut input count, which is what every
+    /// [`DetectionScheme`](crate::DetectionScheme) in this crate produces
+    /// when handed [`golden`](Self::golden).
+    ///
+    /// A design whose evaluation *panics* (a malformed netlist tripping
+    /// an internal invariant, an injected fault) is isolated: it is
+    /// graded `{triggered: false, detected: false}`, the panic is counted
+    /// under `detect.isolated_panics`, and the rest of the batch
+    /// proceeds.
     ///
     /// # Errors
     ///
@@ -116,7 +127,7 @@ impl CoverageEvaluator {
     ) -> Result<CoverageReport, NetlistError> {
         let campaign_span = htforge_obs::span("detect_campaign");
         let golden_cut = &self.golden_cut;
-        let golden_vals = self.golden_sim.run_on(golden_cut, tests);
+        let golden_vals = self.golden_prog.run(tests);
 
         let mut verdicts = Vec::with_capacity(designs.len());
         for (i, design) in designs.iter().enumerate() {
@@ -128,8 +139,7 @@ impl CoverageEvaluator {
                     golden_cut.outputs().len(),
                     "infected design must preserve the output interface"
                 );
-                let sim = Simulator::new(&infected_cut)?;
-                let vals = sim.run_on(&infected_cut, tests);
+                let vals = SimProgram::compile(&infected_cut)?.run(tests);
 
                 let trigger = design.trojan.trigger_output;
                 let triggered = vals.words(trigger).iter().any(|&w| w != 0);
@@ -168,36 +178,23 @@ impl CoverageEvaluator {
     }
 }
 
-/// Evaluates `designs` against `tests` generated for `golden`.
-///
-/// Sequential designs are scan-cut internally; `tests` must be sized for
-/// the scan-cut input count (which is what every
-/// [`DetectionScheme`](crate::DetectionScheme) in this crate produces
-/// when handed the scan-cut golden netlist). Callers grading multiple
-/// test sets should build a [`CoverageEvaluator`] once instead.
-///
-/// # Errors
-///
-/// Returns [`NetlistError`] for cyclic netlists.
-///
-/// A design whose evaluation *panics* (a malformed netlist tripping an
-/// internal invariant, an injected fault) is isolated: it is graded
-/// `{triggered: false, detected: false}`, the panic message is counted
-/// under `detect.isolated_panics`, and the rest of the batch proceeds.
-pub fn evaluate_designs(
-    golden: &Netlist,
-    designs: &[InfectedDesign],
-    tests: &PatternSet,
-) -> Result<CoverageReport, NetlistError> {
-    CoverageEvaluator::new(golden)?.evaluate(designs, tests)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::DetectionScheme;
     use htforge_core::{InsertionConfig, InsertionFramework};
     use htforge_sim::RareNodeExtractor;
+
+    fn evaluate(
+        golden: &Netlist,
+        designs: &[InfectedDesign],
+        tests: &PatternSet,
+    ) -> CoverageReport {
+        CoverageEvaluator::new(golden)
+            .unwrap()
+            .evaluate(designs, tests)
+            .unwrap()
+    }
 
     fn infected_c17() -> (Netlist, Vec<InfectedDesign>) {
         let nl = htforge_circuits::load("c17").unwrap();
@@ -222,7 +219,7 @@ mod tests {
             tests.push(&d.trojan.activation_cube.fill_with(false));
             tests.push(&d.trojan.activation_cube.fill_with(true));
         }
-        let report = evaluate_designs(&nl, &designs, &tests).unwrap();
+        let report = evaluate(&nl, &designs, &tests);
         assert_eq!(report.total(), designs.len());
         assert_eq!(report.triggered(), designs.len(), "all triggers fire");
         // DC ⊆ TC always.
@@ -235,7 +232,7 @@ mod tests {
     fn empty_test_set_yields_no_coverage() {
         let (nl, designs) = infected_c17();
         let tests = PatternSet::zeros(nl.inputs().len(), 0);
-        let report = evaluate_designs(&nl, &designs, &tests).unwrap();
+        let report = evaluate(&nl, &designs, &tests);
         assert_eq!(report.triggered(), 0);
         assert_eq!(report.detected(), 0);
         assert_eq!(report.trigger_coverage(), 0.0);
@@ -245,7 +242,7 @@ mod tests {
     fn dc_is_subset_of_tc_under_random_tests() {
         let (nl, designs) = infected_c17();
         let tests = PatternSet::random(nl.inputs().len(), 4_096, 5);
-        let report = evaluate_designs(&nl, &designs, &tests).unwrap();
+        let report = evaluate(&nl, &designs, &tests);
         for v in &report.verdicts {
             if v.detected {
                 assert!(v.triggered, "detection implies triggering");
@@ -263,7 +260,7 @@ mod tests {
         let tests = crate::MeroDetection::new(10, 500, 3)
             .generate_tests(&nl, &rare)
             .unwrap();
-        let report = evaluate_designs(&nl, &designs, &tests).unwrap();
+        let report = evaluate(&nl, &designs, &tests);
         // c17 is tiny: MERO should trigger these trojans (the paper's
         // evasion results require the large-q trojans of real circuits).
         assert!(report.triggered() > 0);
@@ -282,7 +279,7 @@ mod tests {
         for d in &designs[1..] {
             tests.push(&d.trojan.activation_cube.fill_with(false));
         }
-        let report = evaluate_designs(&nl, &designs, &tests).unwrap();
+        let report = evaluate(&nl, &designs, &tests);
         assert_eq!(report.total(), designs.len());
         // The sabotaged design is graded "not triggered, not detected"...
         assert!(!report.verdicts[0].triggered);

@@ -23,7 +23,7 @@ pub mod ndatpg;
 pub mod random;
 pub mod scheme;
 
-pub use coverage::{evaluate_designs, CoverageEvaluator, CoverageReport, DesignVerdict};
+pub use coverage::{CoverageEvaluator, CoverageReport, DesignVerdict};
 pub use mero::MeroDetection;
 pub use ndatpg::NdAtpgDetection;
 pub use random::RandomDetection;

@@ -20,7 +20,7 @@
 //! which climbed vectors are kept is decided afterwards, in pool order.
 
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
-use htforge_sim::{NodeValues, PatternSet, RareNodeSet, Simulator};
+use htforge_sim::{NodeValues, PatternSet, RareNodeSet, SimProgram};
 
 use crate::scheme::DetectionScheme;
 
@@ -92,8 +92,7 @@ impl MeroDetection {
     /// the events it satisfies. Depends only on `p`, so climbs run on
     /// any worker in any order.
     fn climb(
-        golden: &Netlist,
-        sim: &Simulator,
+        prog: &SimProgram,
         pool: &PatternSet,
         pool_values: &NodeValues,
         p: usize,
@@ -114,7 +113,7 @@ impl MeroDetection {
                 flipped[i] = !flipped[i];
                 batch.push(&flipped);
             }
-            let vals = sim.run_on(golden, &batch);
+            let vals = prog.run(&batch);
             let mut best: Option<(usize, usize)> = None; // (column, score)
             for k in 0..chunk_end - chunk_start {
                 let score = Self::count_satisfied(&vals, k, events);
@@ -132,44 +131,15 @@ impl MeroDetection {
         (vector, sat)
     }
 
-    /// [`DetectionScheme::generate_tests`] against an already-compiled
-    /// simulator for `golden`. Campaign drivers that run MERO (or rate
-    /// it against other schemes) over one circuit should compile the
-    /// tape once and pass it here instead of paying a levelization and
-    /// tape build per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError`] for structurally invalid netlists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` was compiled for a different netlist (node-count
-    /// mismatch).
-    pub fn generate_tests_with_sim(
-        &self,
-        golden: &Netlist,
-        sim: &Simulator,
-        rare: &RareNodeSet,
-    ) -> Result<PatternSet, NetlistError> {
-        Ok(self.generate_on(golden, sim, rare, htforge_obs::host_threads()))
-    }
-
-    /// [`MeroDetection::generate_tests_with_sim`] on `threads` workers.
-    /// Blocks of the sorted pool are climbed on the workers; the
-    /// selection then walks each block in pool order, so the test set is
-    /// the same at any thread count. Once every event reaches `n`, at
+    /// [`DetectionScheme::generate_tests`] over `prog`, the compiled
+    /// golden netlist, on `threads` workers. Blocks of the sorted pool
+    /// are climbed on the workers; the selection then walks each block in
+    /// pool order, so the test set is the same at any thread count. Once every event reaches `n`, at
     /// most the rest of one block has been climbed for nothing.
-    fn generate_on(
-        &self,
-        golden: &Netlist,
-        sim: &Simulator,
-        rare: &RareNodeSet,
-        threads: usize,
-    ) -> PatternSet {
+    fn generate_on(&self, prog: &SimProgram, rare: &RareNodeSet, threads: usize) -> PatternSet {
         let _span = htforge_obs::span("mero");
         let events: Vec<(NodeId, bool)> = rare.iter().map(|r| (r.node, r.rare_value)).collect();
-        let num_inputs = golden.inputs().len();
+        let num_inputs = prog.num_inputs();
         let mut tests = PatternSet::zeros(num_inputs, 0);
         if events.is_empty() {
             // No rare events: nothing to excite, so nothing to keep.
@@ -179,7 +149,7 @@ impl MeroDetection {
 
         // Seed pool, sorted by satisfied-event count (descending) as in
         // the original algorithm.
-        let pool_values = sim.run_on(golden, &pool);
+        let pool_values = prog.run(&pool);
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_by_cached_key(|&p| {
             std::cmp::Reverse(Self::count_satisfied(&pool_values, p, &events))
@@ -189,7 +159,7 @@ impl MeroDetection {
         let mut workers = vec![(); threads];
         'pool: for block in order.chunks(threads * CLIMBS_PER_WORKER) {
             let climbs = htforge_obs::map_indexed(&mut workers, block.len(), |(), i| {
-                Self::climb(golden, sim, &pool, &pool_values, block[i], &events)
+                Self::climb(prog, &pool, &pool_values, block[i], &events)
             });
             for (vector, sat) in climbs {
                 if counts.iter().all(|&c| c >= self.n) {
@@ -218,8 +188,8 @@ impl DetectionScheme for MeroDetection {
         golden: &Netlist,
         rare: &RareNodeSet,
     ) -> Result<PatternSet, NetlistError> {
-        let sim = Simulator::new(golden)?;
-        self.generate_tests_with_sim(golden, &sim, rare)
+        let prog = SimProgram::compile(golden)?;
+        Ok(self.generate_on(&prog, rare, htforge_obs::host_threads()))
     }
 }
 
@@ -244,8 +214,7 @@ mod tests {
             .generate_tests(&nl, &rare)
             .unwrap();
         // Re-simulate and count excitations.
-        let sim = Simulator::new(&nl).unwrap();
-        let vals = sim.run_on(&nl, &tests);
+        let vals = SimProgram::compile(&nl).unwrap().run(&tests);
         for r in rare.iter() {
             let mut hits = 0;
             for p in 0..tests.len() {
@@ -283,20 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_simulator_path_is_output_identical() {
-        let (nl, rare) = setup();
-        let mero = MeroDetection::new(3, 200, 5);
-        let via_trait = mero.generate_tests(&nl, &rare).unwrap();
-        let sim = Simulator::new(&nl).unwrap();
-        // Reusing one compiled tape across calls changes nothing but the
-        // compile count.
-        for _ in 0..2 {
-            let tests = mero.generate_tests_with_sim(&nl, &sim, &rare).unwrap();
-            assert_eq!(tests, via_trait);
-        }
-    }
-
-    #[test]
     fn deterministic() {
         let (nl, rare) = setup();
         let a = MeroDetection::new(3, 200, 5)
@@ -316,16 +271,16 @@ mod tests {
         let nl = htforge_circuits::load("c880").unwrap();
         let profile = PatternSet::random(nl.inputs().len(), 10_000, 1);
         let rare = RareNodeExtractor::new(0.2).extract(&nl, &profile).unwrap();
-        let sim = Simulator::new(&nl).unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
         let mero = MeroDetection::new(5, 2_500, 3);
-        let one = mero.generate_on(&nl, &sim, &rare, 1);
+        let one = mero.generate_on(&prog, &rare, 1);
         assert!(
             one.len() < 2_500,
             "the N-detect target must stop the pool walk"
         );
         for threads in [2, 3] {
             assert_eq!(
-                mero.generate_on(&nl, &sim, &rare, threads),
+                mero.generate_on(&prog, &rare, threads),
                 one,
                 "{threads} workers"
             );

@@ -105,7 +105,7 @@ impl DetectionScheme for NdAtpgDetection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htforge_sim::{RareNodeExtractor, Simulator};
+    use htforge_sim::{RareNodeExtractor, SimProgram};
 
     #[test]
     fn each_rare_event_is_excited() {
@@ -116,8 +116,7 @@ mod tests {
         let tests = NdAtpgDetection::new(2, 3)
             .generate_tests(&nl, &rare)
             .unwrap();
-        let sim = Simulator::new(&nl).unwrap();
-        let vals = sim.run_on(&nl, &tests);
+        let vals = SimProgram::compile(&nl).unwrap().run(&tests);
         for r in rare.iter() {
             let hits = (0..tests.len())
                 .filter(|&p| vals.value(r.node, p) == r.rare_value)
@@ -197,6 +196,7 @@ mod tests {
         let mut podem = Podem::new(&nl, PodemConfig::default()).unwrap();
         let mut miter = MiterSolver::new(&nl).unwrap();
         let mut engine = NDetectEngine::new(&nl, PodemConfig::default()).unwrap();
+        let prog = SimProgram::compile(&nl).unwrap();
         let events: Vec<_> = rare.iter().collect();
         for (k, undetectable) in [
             (77, false),
@@ -216,7 +216,7 @@ mod tests {
                 Verdict::Detectable(model) => {
                     assert!(!undetectable, "event {k}");
                     let test = PatternSet::from_vectors(nl.inputs().len(), &[model]);
-                    let report = fault_simulate(&nl, &[fault], &test).unwrap();
+                    let report = fault_simulate(&prog, &nl, &[fault], &test);
                     assert_eq!(report.detected(), 1, "event {k}");
                 }
                 Verdict::Unknown => panic!("conflict limit on event {k}"),

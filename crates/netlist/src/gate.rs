@@ -190,33 +190,6 @@ impl GateKind {
         }
     }
 
-    /// Output when an input is at the controlling value.
-    ///
-    /// Returns `None` for kinds without a controlling value.
-    #[must_use]
-    pub fn controlled_output(self) -> Option<bool> {
-        match self {
-            GateKind::And => Some(false),
-            GateKind::Nand => Some(true),
-            GateKind::Or => Some(true),
-            GateKind::Nor => Some(false),
-            _ => None,
-        }
-    }
-
-    /// Output when *all* inputs are at the non-controlling value (or, for
-    /// the XOR family and unary gates, `None` since it depends on parity).
-    #[must_use]
-    pub fn noncontrolled_output(self) -> Option<bool> {
-        match self {
-            GateKind::And => Some(true),
-            GateKind::Nand => Some(false),
-            GateKind::Or => Some(false),
-            GateKind::Nor => Some(true),
-            _ => None,
-        }
-    }
-
     /// The output value this gate is inherently *biased against* producing
     /// — the rare output of the paper's trigger-synthesis discipline
     /// (§III-D). A `k`-input AND outputs 1 with probability `1/2^k`, so its
@@ -365,8 +338,6 @@ mod tests {
         assert_eq!(GateKind::And.controlling_value(), Some(false));
         assert_eq!(GateKind::Or.controlling_value(), Some(true));
         assert_eq!(GateKind::Xor.controlling_value(), None);
-        assert_eq!(GateKind::Nand.controlled_output(), Some(true));
-        assert_eq!(GateKind::Nor.noncontrolled_output(), Some(true));
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl RunBudget {
         self.cancel.clone()
     }
 
-    /// Whether this budget has no deadline. (It may still be cancelled.)
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-    }
-
     /// The absolute deadline, if one is set.
     #[must_use]
     pub fn deadline(&self) -> Option<Instant> {
@@ -218,12 +212,6 @@ impl StagedBudget {
     #[must_use]
     pub fn parent(&self) -> &RunBudget {
         &self.parent
-    }
-
-    /// How many stages have been handed out so far.
-    #[must_use]
-    pub fn stages_taken(&self) -> usize {
-        self.next
     }
 }
 
@@ -346,12 +334,12 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = RunBudget::unlimited();
-        assert!(b.is_unlimited());
+        assert!(b.deadline().is_none());
         assert!(!b.expired());
         assert!(b.check().is_ok());
         assert_eq!(b.remaining(), None);
         let sub = b.sub(0.5);
-        assert!(sub.is_unlimited());
+        assert!(sub.deadline().is_none());
     }
 
     #[test]
@@ -422,7 +410,6 @@ mod tests {
             rare >= Duration::from_secs(24) && rare <= Duration::from_secs(26),
             "rare slice should be ~25s, got {rare:?}"
         );
-        assert_eq!(stages.stages_taken(), 1);
     }
 
     #[test]
@@ -453,8 +440,8 @@ mod tests {
     fn staged_split_of_unlimited_budget_is_unlimited() {
         let b = RunBudget::unlimited();
         let mut stages = b.staged(&[0.5, 0.5]);
-        assert!(stages.next_stage().is_unlimited());
-        assert!(stages.next_stage().is_unlimited());
+        assert!(stages.next_stage().deadline().is_none());
+        assert!(stages.next_stage().deadline().is_none());
         // Cancellation still propagates through staged children.
         let b = RunBudget::unlimited();
         let mut stages = b.staged(&[1.0]);

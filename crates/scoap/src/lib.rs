@@ -164,13 +164,6 @@ impl Scoap {
     pub fn co(&self, node: NodeId) -> u32 {
         self.co[node.index()]
     }
-
-    /// Testability of the stuck-at-`value` fault at `node`:
-    /// `CC(v̄) + CO` — how hard it is to excite *and* observe.
-    #[must_use]
-    pub fn fault_hardness(&self, node: NodeId, stuck_at: bool) -> u32 {
-        sat_add(self.cc(node, !stuck_at), self.co(node))
-    }
 }
 
 fn gate_controllability(kind: GateKind, fanins: &[NodeId], cc0: &[u32], cc1: &[u32]) -> (u32, u32) {
@@ -310,15 +303,5 @@ q = DFF(g)
         assert_eq!(s.cc1(q), 1);
         // g is a PO itself, so CO(g) = 0.
         assert_eq!(s.co(nl.find("g").unwrap()), 0);
-    }
-
-    #[test]
-    fn fault_hardness_combines_both() {
-        let nl = bench::parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "t").unwrap();
-        let s = Scoap::compute(&nl).unwrap();
-        let y = nl.find("y").unwrap();
-        // s-a-0 at y: excite with CC1 = 3, observe with CO = 0.
-        assert_eq!(s.fault_hardness(y, false), 3);
-        assert_eq!(s.fault_hardness(y, true), 2);
     }
 }

@@ -14,7 +14,9 @@ use htforge_core::{
     InsertionConfig, InsertionError, InsertionFramework, InsertionOutcome, PayloadKind,
     PhaseTimings,
 };
-use htforge_detect::{DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection};
+use htforge_detect::{
+    CoverageEvaluator, DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection,
+};
 use htforge_netlist::bench;
 use htforge_obs::{BudgetExceeded, DegradationNote, Json, RunBudget};
 use htforge_sim::PatternSet;
@@ -312,13 +314,10 @@ fn exec_grade(
     if let Err(e) = budget.check() {
         return ExecOutcome::budget(e);
     }
-    let report = match timed_phase(progress, &mut phases, "fault_simulation", || {
+    let report = timed_phase(progress, &mut phases, "fault_simulation", || {
         let faults = all_faults(&circuit.comb);
-        fault_simulate(&circuit.comb, &faults, &tests)
-    }) {
-        Ok(r) => r,
-        Err(e) => return ExecOutcome::terminal(JobStatus::Failed, e.to_string()),
-    };
+        fault_simulate(&circuit.sim, &circuit.comb, &faults, &tests)
+    });
     let mut out = ExecOutcome::done(Json::obj(vec![
         ("scheme", Json::Str(scheme.name().to_owned())),
         ("tests", Json::Num(tests.len() as f64)),
@@ -363,7 +362,7 @@ fn exec_detect(
         return ExecOutcome::budget(e);
     }
     let report = match timed_phase(progress, &mut phases, "evaluation", || {
-        htforge_detect::evaluate_designs(&circuit.golden, &outcome.infected, &tests)
+        CoverageEvaluator::new(&circuit.golden)?.evaluate(&outcome.infected, &tests)
     }) {
         Ok(r) => r,
         Err(e) => return ExecOutcome::terminal(JobStatus::Failed, e.to_string()),

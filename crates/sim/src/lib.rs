@@ -5,7 +5,8 @@
 //!
 //! * [`patterns`] — bit-packed input pattern sets and random generation,
 //! * [`program`] — the compiled simulation kernel every caller runs on,
-//! * [`simulator`] — 64-way bit-parallel 2-valued simulation,
+//! * [`simulator`] — simulated node values, and the `Simulator` wrapper
+//!   the benchmark package builds against,
 //! * [`tri`] — three-valued (0/1/X) logic and cube simulation,
 //! * [`rare`] — **rare-node extraction, paper Algorithm 1**.
 //!

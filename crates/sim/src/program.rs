@@ -23,10 +23,11 @@
 //! gate-at-a-time scalar oracle — proven per node and pattern by
 //! `tests/differential_sim.rs`.
 //!
-//! The public [`crate::simulator::Simulator`] API is a thin wrapper over
-//! this kernel, so every caller — rare-node extraction, signal
-//! probabilities, MERO / ND-ATPG / random detection, coverage
-//! evaluation, fault simulation's good-machine run — shares it.
+//! Every caller compiles a [`SimProgram`] and runs it directly: rare-node
+//! extraction, the compatibility graph's cube checks, MERO, coverage
+//! evaluation, fault simulation's good-machine run, trojan validation
+//! and the server's circuit cache. [`crate::simulator::Simulator`] wraps
+//! a program for the benchmark package, which builds against it.
 
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError, NodeKind};
 

@@ -1,10 +1,11 @@
-//! 64-way bit-parallel two-valued simulation.
+//! Simulation results ([`NodeValues`]) and the [`Simulator`] wrapper.
 //!
-//! The netlist is compiled once ([`Simulator::new`] lowers it into a
-//! [`SimProgram`] instruction tape) and then evaluated word-by-word: each
-//! gate visit computes 64 input patterns at once. This is what makes
-//! 10 000-vector rare-node profiling (Fig. 3 of the paper) cheap even on
-//! the larger ISCAS-89 circuits.
+//! A [`SimProgram`] evaluates 64 input patterns per word and returns
+//! every node's values as [`NodeValues`]. This is what makes 10 000-vector
+//! rare-node profiling (Fig. 3 of the paper) cheap even on the larger
+//! ISCAS-89 circuits. [`Simulator`] is a program plus a node-count check.
+//! The library runs [`SimProgram`] directly; the wrapper stays because
+//! the benchmark package builds against it.
 
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 
@@ -74,7 +75,10 @@ impl NodeValues {
     }
 }
 
-/// A levelized bit-parallel simulator bound to one netlist.
+/// A compiled [`SimProgram`] whose [`run_on`](Simulator::run_on) checks
+/// the netlist it is handed. Workspace code compiles and runs a
+/// [`SimProgram`] directly; this wrapper stays for the benchmark
+/// package, which builds against it.
 ///
 /// # Examples
 ///

@@ -25,7 +25,7 @@ use htforge::core::{InsertionConfig, InsertionFramework, PayloadKind};
 use htforge::detect::{DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection};
 use htforge::netlist::{bench, verilog, AreaModel, Netlist};
 use htforge::obs::{CancelToken, RunBudget};
-use htforge::sim::{PatternSet, RareNodeExtractor};
+use htforge::sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 const USAGE: &str = "\
 usage: htforge <command> [options]
@@ -275,8 +275,15 @@ fn cmd_grade(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let n: usize = opts.number("n", 5)?;
     let nl = load_netlist(spec)?;
     let comb = nl.scan_cut();
+    // One compiled golden model profiles and grades.
+    let prog = SimProgram::compile(&comb)?;
     let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
-    let rare = RareNodeExtractor::new(0.20).extract(&comb, &patterns)?;
+    let (rare, _) = RareNodeExtractor::new(0.20).extract_budgeted(
+        &prog,
+        &comb,
+        &patterns,
+        &RunBudget::unlimited(),
+    );
 
     let scheme: Box<dyn DetectionScheme> = match opts.get("scheme").unwrap_or("random") {
         "random" => Box::new(RandomDetection::new(10_000, 7)),
@@ -286,7 +293,7 @@ fn cmd_grade(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     };
     let tests = scheme.generate_tests(&comb, &rare)?;
     let faults = all_faults(&comb);
-    let report = fault_simulate(&comb, &faults, &tests)?;
+    let report = fault_simulate(&prog, &comb, &faults, &tests);
     println!(
         "{}: {} tests from {} → stuck-at coverage {:.1}% ({}/{})",
         scheme.name(),

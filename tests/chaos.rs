@@ -619,8 +619,9 @@ fn detect_campaign_survives_an_injected_grading_panic() {
         .run(&nl)
         .expect("c17 insertion works");
     let tests = htforge::sim::PatternSet::random(nl.inputs().len(), 256, 9);
+    let evaluator = htforge::detect::CoverageEvaluator::new(&nl).unwrap();
     arm("detect.design", Action::Panic);
-    let report = htforge::detect::evaluate_designs(&nl, &outcome.infected, &tests);
+    let report = evaluator.evaluate(&outcome.infected, &tests);
     disarm_all();
     // Every design's grading panicked; each is isolated to a negative
     // verdict rather than killing the evaluation.
