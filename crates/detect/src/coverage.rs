@@ -104,6 +104,14 @@ impl CoverageEvaluator {
         &self.golden_cut
     }
 
+    /// The simulation program compiled from [`golden`](Self::golden).
+    /// Callers that also profile or grade the golden model run it
+    /// instead of compiling their own.
+    #[must_use]
+    pub fn program(&self) -> &SimProgram {
+        &self.golden_prog
+    }
+
     /// Evaluates `designs` against `tests`.
     ///
     /// Sequential infected designs are scan-cut here; `tests` must be

@@ -315,11 +315,17 @@ fn cmd_detect(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         .ok_or("detect requires --infected FILE[,FILE...]")?;
     let n: usize = opts.number("n", 5)?;
     let golden = load_netlist(spec)?;
-    // One scan-cut and one compiled golden model grade every scheme.
+    // One scan-cut and one compiled golden model profile and grade
+    // every scheme.
     let evaluator = CoverageEvaluator::new(&golden)?;
     let comb = evaluator.golden();
     let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
-    let rare = RareNodeExtractor::new(0.20).extract(comb, &patterns)?;
+    let (rare, _) = RareNodeExtractor::new(0.20).extract_budgeted(
+        evaluator.program(),
+        comb,
+        &patterns,
+        &RunBudget::unlimited(),
+    );
 
     // Reconstruct minimal trojan metadata from the netlists: every
     // htforge-inserted payload gate is named `ht…_payload`; its trigger
