@@ -287,12 +287,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn c2670_output_is_pinned() {
-        // Test count and FNV-1a digest of the packed test set at the
-        // `detect` benchmark's MERO settings: how the climb keeps its
-        // satisfied-event flags must not change a single generated bit.
-        let nl = htforge_circuits::load("c2670").unwrap().scan_cut();
+    /// Rare-event count, test count and FNV-1a digest of the packed
+    /// test set of `circuit` at the `detect` benchmark's MERO settings.
+    fn pinned_run(circuit: &str) -> (usize, usize, u64) {
+        let nl = htforge_circuits::load(circuit).unwrap().scan_cut();
         let profile = PatternSet::random(nl.inputs().len(), 10_000, 1);
         let rare = RareNodeExtractor::new(0.2).extract(&nl, &profile).unwrap();
         let tests = MeroDetection::new(5, 2_500, 1)
@@ -304,8 +302,21 @@ mod tests {
                 digest = (digest ^ w).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        assert_eq!(rare.len(), 326);
-        assert_eq!(tests.len(), 99);
-        assert_eq!(digest, 0xc783_16e4_feda_98bf);
+        (rare.len(), tests.len(), digest)
+    }
+
+    #[test]
+    fn c2670_output_is_pinned() {
+        // How the climb builds its batches and scores their columns
+        // must not change a single generated bit. c2670's 233 inputs
+        // end in a partial chunk of 41 candidate flips.
+        assert_eq!(pinned_run("c2670"), (326, 99, 0xc783_16e4_feda_98bf));
+    }
+
+    #[test]
+    fn c7552_output_is_pinned() {
+        // More than 1024 rare events: a column's satisfied-event count
+        // needs an eleventh bit.
+        assert_eq!(pinned_run("c7552"), (1212, 242, 0x6c67_ea8a_8852_f8fa));
     }
 }
