@@ -314,31 +314,29 @@ pub fn write(nl: &Netlist) -> String {
     for &o in nl.outputs() {
         let _ = writeln!(out, "OUTPUT({})", nl.node(o).name());
     }
-    // Emit in topological order so the file is also human-followable.
+    // Emit gates in topological order so the file is also
+    // human-followable.
     let order = crate::graph::topo_order(nl).expect("netlist is validated");
-    let mut dff_lines: Vec<String> = Vec::new();
     for id in order {
         let node = nl.node(id);
-        match node.kind() {
-            NodeKind::Input => {}
-            NodeKind::Dff => {
-                let d = node.fanins()[0];
-                dff_lines.push(format!("{} = DFF({})", node.name(), nl.node(d).name()));
-            }
-            NodeKind::Gate(kind) => {
-                let args: Vec<&str> = node.fanins().iter().map(|&f| nl.node(f).name()).collect();
-                let _ = writeln!(
-                    out,
-                    "{} = {}({})",
-                    node.name(),
-                    kind.bench_keyword(),
-                    args.join(", ")
-                );
-            }
+        if let NodeKind::Gate(kind) = node.kind() {
+            let args: Vec<&str> = node.fanins().iter().map(|&f| nl.node(f).name()).collect();
+            let _ = writeln!(
+                out,
+                "{} = {}({})",
+                node.name(),
+                kind.bench_keyword(),
+                args.join(", ")
+            );
         }
     }
-    for line in dff_lines {
-        let _ = writeln!(out, "{line}");
+    // DFFs last, in `dffs()` order: the parser numbers them in file
+    // order, and a scan cut orders its pseudo inputs and outputs by that
+    // number, so a read-back design lines up with the original's.
+    for &id in nl.dffs() {
+        let node = nl.node(id);
+        let d = node.fanins()[0];
+        let _ = writeln!(out, "{} = DFF({})", node.name(), nl.node(d).name());
     }
     out
 }
@@ -459,6 +457,33 @@ q = DFF(g)
         assert_eq!(nl2.dffs().len(), 1);
         let q = nl2.find("q").unwrap();
         assert_eq!(nl2.node(nl2.node(q).fanins()[0]).name(), "g");
+    }
+
+    #[test]
+    fn dff_order_survives_round_trip() {
+        // A scan cut numbers its pseudo inputs and outputs in `dffs()`
+        // order, so a written design must read back with the same order
+        // or its columns no longer line up with the original's.
+        let src = "\
+INPUT(a)
+OUTPUT(y)
+q1 = DFF(g1)
+q2 = DFF(g2)
+q3 = DFF(y)
+g1 = NAND(a, q3)
+g2 = NOR(q1, a)
+y = XOR(q2, g1)
+";
+        let nl = parse(src, "seq3").unwrap();
+        let names = |nl: &Netlist| -> Vec<String> {
+            nl.dffs()
+                .iter()
+                .map(|&q| nl.node(q).name().to_owned())
+                .collect()
+        };
+        assert_eq!(names(&nl), ["q1", "q2", "q3"]);
+        let nl2 = parse(&write(&nl), "seq3").unwrap();
+        assert_eq!(names(&nl2), names(&nl));
     }
 
     #[test]

@@ -178,6 +178,6 @@ fn framework_output_is_pinned() {
     );
     assert_eq!(
         pinned("s1423", 6, 4),
-        (217, (208, 9, 12_981, 4), 4, 0x3d02_1b05_645b_48f2)
+        (217, (208, 9, 12_981, 4), 4, 0x0acb_1315_2fcb_4e42)
     );
 }
