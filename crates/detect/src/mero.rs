@@ -10,7 +10,14 @@
 //! time, accepting a flip when it increases the number of satisfied rare
 //! events. We batch 64 candidate flips into one bit-parallel simulation
 //! and accept the best flip of each batch — the same greedy hill-climb,
-//! one simulation per 64 candidate bits. The current vector's
+//! one simulation per 64 candidate bits. Each worker owns one 64-pattern
+//! scratch set, and a batch is written into it one word per input: the
+//! current bit broadcast to all 64 columns, with column `k`'s flip XORed
+//! in. The batch is scored by a bit-sliced counter: one word per rare
+//! event (inverted when the rare value is 0) is added into bit planes of
+//! 64 side-by-side counters, so every column's satisfied-event count
+//! costs about two word operations per event. The pool is sorted on the
+//! same counter, one pool word at a time. The current vector's
 //! satisfied-event flags need no simulation of their own: they start as
 //! the vector's column of the pool run, and each accepted flip replaces
 //! them with the winning column of the batch that scored it.
@@ -80,19 +87,61 @@ impl MeroDetection {
             .collect()
     }
 
-    /// Number of rare events satisfied by the node values of one pattern.
-    fn count_satisfied(values: &NodeValues, pattern: usize, events: &[(NodeId, bool)]) -> usize {
-        events
-            .iter()
-            .filter(|&&(node, want)| values.value(node, pattern) == want)
-            .count()
+    /// Satisfied-event counts of the 64 patterns in word `word` of
+    /// `values`: entry `k` counts the events that pattern `64 * word + k`
+    /// satisfies.
+    ///
+    /// Each event's word (inverted when its rare value is 0) is added
+    /// into bit planes of 64 side-by-side binary counters, plane `j`
+    /// holding bit `j` of every column's count. The carry stops at the
+    /// first plane it leaves unchanged, so an all-zero word costs one
+    /// test and a word shared by every column ripples like a single
+    /// counter: about two word operations per event instead of 64 bit
+    /// tests.
+    fn column_counts(values: &NodeValues, word: usize, events: &[(NodeId, bool)]) -> [usize; 64] {
+        Self::sum_columns(events.iter().map(|&(node, want)| {
+            let w = values.words(node)[word];
+            if want {
+                w
+            } else {
+                !w
+            }
+        }))
+    }
+
+    /// Per-column population count of `words`: entry `k` is the number
+    /// of words with bit `k` set. The bit-sliced counter of
+    /// [`column_counts`](Self::column_counts).
+    fn sum_columns(words: impl IntoIterator<Item = u64>) -> [usize; 64] {
+        let mut planes = [0u64; usize::BITS as usize];
+        let mut used = 0;
+        for word in words {
+            let mut carry = word;
+            let mut j = 0;
+            while carry != 0 {
+                let next = planes[j] & carry;
+                planes[j] ^= carry;
+                carry = next;
+                j += 1;
+            }
+            used = used.max(j);
+        }
+        let mut counts = [0usize; 64];
+        for (j, &plane) in planes[..used].iter().enumerate() {
+            for (k, count) in counts.iter_mut().enumerate() {
+                *count |= usize::from((plane >> k) & 1 == 1) << j;
+            }
+        }
+        counts
     }
 
     /// Hill-climbs pool vector `p` and returns the climbed vector with
-    /// the events it satisfies. Depends only on `p`, so climbs run on
-    /// any worker in any order.
+    /// the events it satisfies. `batch` is the worker's 64-pattern
+    /// scratch set; it is overwritten by every chunk. Depends only on
+    /// `p`, so climbs run on any worker in any order.
     fn climb(
         prog: &SimProgram,
+        batch: &mut PatternSet,
         pool: &PatternSet,
         pool_values: &NodeValues,
         p: usize,
@@ -106,17 +155,22 @@ impl MeroDetection {
         let mut current = sat.iter().filter(|&&s| s).count();
         // Hill-climb over input bits, 64 candidate flips per sim.
         for chunk_start in (0..num_inputs).step_by(64) {
-            let chunk_end = (chunk_start + 64).min(num_inputs);
-            let mut batch = PatternSet::zeros(num_inputs, 0);
-            for i in chunk_start..chunk_end {
-                let mut flipped = vector.clone();
-                flipped[i] = !flipped[i];
-                batch.push(&flipped);
+            let chunk = chunk_start..(chunk_start + 64).min(num_inputs);
+            // Column k flips input `chunk_start + k`. Past the end of a
+            // partial chunk the columns repeat `vector` and score
+            // `current`, so they never win.
+            for (i, &bit) in vector.iter().enumerate() {
+                let flip = if chunk.contains(&i) {
+                    1u64 << (i - chunk_start)
+                } else {
+                    0
+                };
+                batch.set_input_words(i, &[0u64.wrapping_sub(u64::from(bit)) ^ flip]);
             }
-            let vals = prog.run(&batch);
+            let vals = prog.run(batch);
+            let scores = Self::column_counts(&vals, 0, events);
             let mut best: Option<(usize, usize)> = None; // (column, score)
-            for k in 0..chunk_end - chunk_start {
-                let score = Self::count_satisfied(&vals, k, events);
+            for (k, &score) in scores[..chunk.len()].iter().enumerate() {
                 if score > current && best.is_none_or(|(_, s)| score > s) {
                     best = Some((k, score));
                 }
@@ -150,16 +204,18 @@ impl MeroDetection {
         // Seed pool, sorted by satisfied-event count (descending) as in
         // the original algorithm.
         let pool_values = prog.run(&pool);
+        let satisfied: Vec<usize> = (0..PatternSet::words_for(pool.len()))
+            .flat_map(|w| Self::column_counts(&pool_values, w, &events))
+            .take(pool.len())
+            .collect();
         let mut order: Vec<usize> = (0..pool.len()).collect();
-        order.sort_by_cached_key(|&p| {
-            std::cmp::Reverse(Self::count_satisfied(&pool_values, p, &events))
-        });
+        order.sort_by_key(|&p| std::cmp::Reverse(satisfied[p]));
 
         let mut counts = vec![0usize; events.len()];
-        let mut workers = vec![(); threads];
+        let mut batches = vec![PatternSet::zeros(num_inputs, 64); threads];
         'pool: for block in order.chunks(threads * CLIMBS_PER_WORKER) {
-            let climbs = htforge_obs::map_indexed(&mut workers, block.len(), |(), i| {
-                Self::climb(prog, &pool, &pool_values, block[i], &events)
+            let climbs = htforge_obs::map_indexed(&mut batches, block.len(), |batch, i| {
+                Self::climb(prog, batch, &pool, &pool_values, block[i], &events)
             });
             for (vector, sat) in climbs {
                 if counts.iter().all(|&c| c >= self.n) {
@@ -197,12 +253,30 @@ impl DetectionScheme for MeroDetection {
 mod tests {
     use super::*;
     use htforge_sim::RareNodeExtractor;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (Netlist, RareNodeSet) {
         let nl = htforge_circuits::load("c17").unwrap();
         let profile = PatternSet::random(5, 2_000, 1);
         let rare = RareNodeExtractor::new(0.3).extract(&nl, &profile).unwrap();
         (nl, rare)
+    }
+
+    #[test]
+    fn bit_sliced_counts_match_a_scalar_count() {
+        // Random words, then 5 000 all-ones words: every column's count
+        // passes 4096, so carries run through thirteen planes.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut words: Vec<u64> = (0..3_000).map(|_| rng.gen()).collect();
+        words.extend(std::iter::repeat_n(u64::MAX, 5_000));
+        for len in [0, 1, 7, 1_023, 1_024, 3_000, words.len()] {
+            let counts = MeroDetection::sum_columns(words[..len].iter().copied());
+            for (k, &count) in counts.iter().enumerate() {
+                let scalar = words[..len].iter().filter(|&&w| (w >> k) & 1 == 1).count();
+                assert_eq!(count, scalar, "column {k} of {len} words");
+            }
+        }
     }
 
     #[test]
