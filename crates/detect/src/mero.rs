@@ -89,15 +89,8 @@ impl MeroDetection {
 
     /// Satisfied-event counts of the 64 patterns in word `word` of
     /// `values`: entry `k` counts the events that pattern `64 * word + k`
-    /// satisfies.
-    ///
-    /// Each event's word (inverted when its rare value is 0) is added
-    /// into bit planes of 64 side-by-side binary counters, plane `j`
-    /// holding bit `j` of every column's count. The carry stops at the
-    /// first plane it leaves unchanged, so an all-zero word costs one
-    /// test and a word shared by every column ripples like a single
-    /// counter: about two word operations per event instead of 64 bit
-    /// tests.
+    /// satisfies. Each event contributes its node's word, inverted when
+    /// its rare value is 0.
     fn column_counts(values: &NodeValues, word: usize, events: &[(NodeId, bool)]) -> [usize; 64] {
         Self::sum_columns(events.iter().map(|&(node, want)| {
             let w = values.words(node)[word];
@@ -110,8 +103,14 @@ impl MeroDetection {
     }
 
     /// Per-column population count of `words`: entry `k` is the number
-    /// of words with bit `k` set. The bit-sliced counter of
-    /// [`column_counts`](Self::column_counts).
+    /// of words with bit `k` set.
+    ///
+    /// A bit-sliced counter: each word is added into bit planes of 64
+    /// side-by-side binary counters, plane `j` holding bit `j` of every
+    /// column's count. The carry stops at the first plane it leaves
+    /// unchanged, so an all-zero word costs one test and a word shared
+    /// by every column ripples like a single counter: about two word
+    /// operations per word instead of 64 bit tests.
     fn sum_columns(words: impl IntoIterator<Item = u64>) -> [usize; 64] {
         let mut planes = [0u64; usize::BITS as usize];
         let mut used = 0;
