@@ -161,13 +161,49 @@ mod tests {
     #[test]
     fn output_is_identical_at_any_worker_count() {
         // Every c880 event runs randomized attempts, so a seed that
-        // followed the worker instead of the event would show.
-        let (nl, rare) = benchmark_profile("c880");
-        let ndatpg = NdAtpgDetection::new(2, 1);
-        let one = ndatpg.generate_on(&nl, &rare, 1).unwrap();
-        for threads in [2, 3] {
-            let tests = ndatpg.generate_on(&nl, &rare, threads).unwrap();
-            assert_eq!(tests, one, "{threads} workers");
+        // followed the worker instead of the event would show; c2670
+        // also has events that PODEM aborts on and the miter decides.
+        for name in ["c880", "c2670"] {
+            let (nl, rare) = benchmark_profile(name);
+            let ndatpg = NdAtpgDetection::new(2, 1);
+            let one = ndatpg.generate_on(&nl, &rare, 1).unwrap();
+            for threads in [2, 3] {
+                let tests = ndatpg.generate_on(&nl, &rare, threads).unwrap();
+                assert_eq!(tests, one, "{name} at {threads} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn every_cube_detects_its_fault() {
+        // The oracle is fault simulation of one fully specified vector:
+        // each cube, its don't-cares filled either way, must detect the
+        // stuck-at fault of its own rare event.
+        use htforge_atpg::{fault_simulate, n_detect_cubes};
+        for name in ["c2670", "c3540"] {
+            let (nl, rare) = benchmark_profile(name);
+            let prog = SimProgram::compile(&nl).unwrap();
+            let faults: Vec<Fault> = rare
+                .iter()
+                .map(|r| Fault::for_rare_event(r.node, r.rare_value))
+                .collect();
+            let mut workers = vec![(); htforge_obs::host_threads().min(faults.len())];
+            let cube_sets = htforge_obs::map_indexed(&mut workers, faults.len(), |(), k| {
+                n_detect_cubes(&nl, faults[k], 2, PodemConfig::default(), 1 + k as u64).unwrap()
+            });
+            let mut checked = 0;
+            for (k, cubes) in cube_sets.iter().enumerate() {
+                for cube in cubes {
+                    for fill in [false, true] {
+                        let test =
+                            PatternSet::from_vectors(nl.inputs().len(), &[cube.fill_with(fill)]);
+                        let report = fault_simulate(&prog, &nl, &[faults[k]], &test);
+                        assert_eq!(report.detected(), 1, "{name} event {k}, fill {fill}");
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 2 * rare.len(), "{name}: only {checked} checks");
         }
     }
 
