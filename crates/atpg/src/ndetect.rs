@@ -6,9 +6,12 @@
 //! cube diversity comes from re-running PODEM with randomized backtrace
 //! input selection under different seeds.
 //!
-//! A fault on which the deterministic run aborts is first put to a SAT
-//! miter ([`crate::sat`]): when it proves the fault undetectable, the
-//! randomized runs, which could never find a test, are skipped.
+//! Every PODEM run here gives up after a few backtracks, and the SAT
+//! miter ([`crate::sat`]) decides a fault the deterministic run aborts
+//! on: an undetectable fault gets no randomized runs, which could never
+//! find a test, and a detectable one gets the solver's model as its
+//! first cube. PODEM stays the first try because it is cheaper on the
+//! many easy faults; the solver is cheaper on the few hard ones.
 
 use crate::cube::Cube;
 use crate::fault::Fault;
@@ -16,14 +19,23 @@ use crate::podem::{Podem, PodemConfig, PodemMode, TestResult};
 use crate::sat::{MiterSolver, Verdict};
 
 use htforge_netlist::{Netlist, NetlistError};
+use htforge_sim::Tri;
+
+/// Backtracks one PODEM run of the engine may spend (fewer when the
+/// caller's `backtrack_limit` is smaller). An abort costs little at this
+/// limit, and the miter decides the faults that need more: 16 was the
+/// fastest of 16, 32 and 64 on c2670, c3540, c5315 and c7552.
+const BACKTRACK_LIMIT: usize = 16;
 
 /// Generates up to `n` distinct cubes testing `fault` on `nl`.
 ///
 /// Cubes are deduplicated exactly (same care bits in the same positions).
-/// Fewer than `n` cubes are returned when the fault admits fewer distinct
-/// PODEM outcomes within the attempt budget (`4 * n` randomized runs plus
-/// one deterministic run), or none at all when the fault is untestable
-/// (see [`NDetectEngine::cubes`]).
+/// The attempt budget is one deterministic run, answered by the SAT
+/// miter when it aborts, plus `4 * n` randomized runs; every PODEM run
+/// stops at a small backtrack limit, `base_config.backtrack_limit` at
+/// most. Fewer than `n` cubes are returned when the fault admits fewer
+/// distinct outcomes within that budget, or none at all when the fault
+/// is untestable (see [`NDetectEngine::cubes`]).
 ///
 /// # Errors
 ///
@@ -60,10 +72,10 @@ pub fn n_detect_cubes(
     Ok(NDetectEngine::new(nl, base_config)?.cubes(fault, n, seed))
 }
 
-/// A reusable N-detect cube generator: one detect-mode PODEM engine,
-/// reseeded between the SCOAP-guided first run and each randomized
-/// attempt, and a [`MiterSolver`] for the faults the first run aborts
-/// on. The cubes for a fault depend only on the fault, `n` and the seed,
+/// A reusable N-detect cube generator: one detect-mode PODEM engine with
+/// a small backtrack limit, reseeded between the SCOAP-guided first run
+/// and each randomized attempt, and a [`MiterSolver`] for the faults the
+/// first run aborts on. The cubes for a fault depend only on the fault, `n` and the seed,
 /// never on what the engine searched before, so one engine per worker
 /// thread gives the same cubes as [`n_detect_cubes`].
 #[derive(Debug)]
@@ -76,7 +88,8 @@ pub struct NDetectEngine {
 
 impl NDetectEngine {
     /// Builds the engine and the miter solver for `nl`; `config`'s
-    /// `random_seed` is ignored.
+    /// `random_seed` is ignored, and its `backtrack_limit` is capped at
+    /// the engine's own small limit.
     ///
     /// # Errors
     ///
@@ -93,6 +106,10 @@ impl NDetectEngine {
             PodemMode::Detect,
             "N-detect cubes are detect-mode tests"
         );
+        let config = PodemConfig {
+            backtrack_limit: config.backtrack_limit.min(BACKTRACK_LIMIT),
+            ..config
+        };
         Ok(NDetectEngine {
             podem: Podem::new(nl, config)?,
             miter: MiterSolver::new(nl)?,
@@ -105,10 +122,11 @@ impl NDetectEngine {
     ///
     /// The SCOAP-guided run goes first. When it aborts, the miter solver
     /// decides the fault: a fault it proves undetectable returns no cubes
-    /// without any randomized run (counted in `ndatpg.unsat`); otherwise,
-    /// satisfiable or past the solver's conflict limit
-    /// (`ndatpg.sat_unknown`), the randomized runs go ahead. Skipping
-    /// runs that cannot find a test leaves the cubes unchanged.
+    /// without any randomized run (counted in `ndatpg.unsat`); a
+    /// satisfiable one takes the solver's model, every input specified,
+    /// as its first cube; past the solver's conflict limit
+    /// (`ndatpg.sat_unknown`) there is no first cube. Then the
+    /// randomized runs, at the same small limit, fill up to `n` cubes.
     pub fn cubes(&mut self, fault: Fault, n: usize, seed: u64) -> Vec<Cube> {
         let mut cubes: Vec<Cube> = Vec::new();
         if n == 0 {
@@ -124,7 +142,9 @@ impl NDetectEngine {
                     return cubes;
                 }
                 Verdict::Unknown => self.sat_unknown.incr(),
-                Verdict::Detectable(_) => {}
+                Verdict::Detectable(model) => cubes.push(Cube::from_tris(
+                    model.into_iter().map(Tri::from_bool).collect(),
+                )),
             },
             TestResult::TimedOut => {}
         }

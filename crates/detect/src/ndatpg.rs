@@ -217,7 +217,7 @@ mod tests {
             .unwrap();
         assert_eq!(rare.len(), 326);
         assert_eq!(tests.len(), 639);
-        assert_eq!(digest(&tests), 0x5084_a6a9_80d6_8baf);
+        assert_eq!(digest(&tests), 0xfb58_5515_e1e3_c8f0);
     }
 
     #[test]
@@ -225,7 +225,8 @@ mod tests {
         // The c2670 events whose deterministic PODEM run hits the
         // backtrack limit without a verdict. The miter proves three
         // undetectable, so the engine returns no cubes for them; the
-        // other three get a model that fault simulation confirms.
+        // other three get a model that fault simulation confirms and
+        // that the engine returns as their first cube.
         use htforge_atpg::sat::{MiterSolver, Verdict};
         use htforge_atpg::{fault_simulate, Podem, TestResult};
         let (nl, rare) = benchmark_profile("c2670");
@@ -251,6 +252,9 @@ mod tests {
                 }
                 Verdict::Detectable(model) => {
                     assert!(!undetectable, "event {k}");
+                    let cubes = engine.cubes(fault, 2, 1);
+                    assert_eq!(cubes[0].fill_with(false), model, "event {k}");
+                    assert_eq!(cubes[0].care_count(), model.len(), "event {k}");
                     let test = PatternSet::from_vectors(nl.inputs().len(), &[model]);
                     let report = fault_simulate(&prog, &nl, &[fault], &test);
                     assert_eq!(report.detected(), 1, "event {k}");
