@@ -181,10 +181,14 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
             ]));
         }
     }
-    let report = RunReport::from_recorder(&format!("table2_{name}"), htforge_obs::global())
+    let mut report = RunReport::from_recorder(&format!("table2_{name}"), htforge_obs::global())
         .with_meta("circuit", Json::Str(name.to_owned()))
         .with_meta("mode", Json::Str(p.mode.to_owned()))
         .with_meta("instances_per_family", Json::Num(p.instances as f64));
+    // One span per kernel call (about 20 000 per circuit, mostly MERO's
+    // climbs) would bury the campaign spans; `sim.kernel_words` and the
+    // phase spans still account for the kernel's work.
+    report.spans.retain(|s| s.name != "sim.kernel_run");
     let path = PathBuf::from(REPO_ROOT).join(format!("results/report_{name}_detection.json"));
     report
         .write_to(&path)
@@ -254,7 +258,7 @@ fn main() {
     let _obs = htforge_obs::init_from_env();
     htforge_obs::global().enable();
     let opts = HarnessOpts::from_env();
-    let circuits = opts.circuits_or(&["c2670", "c3540"]);
+    let circuits = opts.circuits_or(&["c2670", "c3540", "c5315", "c7552"]);
     let params = Params {
         mode: if opts.full { "full" } else { "scaled" },
         instances: if opts.full { 50 } else { 8 },
