@@ -75,9 +75,9 @@ pub fn n_detect_cubes(
 /// A reusable N-detect cube generator: one detect-mode PODEM engine with
 /// a small backtrack limit, reseeded between the SCOAP-guided first run
 /// and each randomized attempt, and a [`MiterSolver`] for the faults the
-/// first run aborts on. The cubes for a fault depend only on the fault, `n` and the seed,
-/// never on what the engine searched before, so one engine per worker
-/// thread gives the same cubes as [`n_detect_cubes`].
+/// first run aborts on. The cubes for a fault depend only on the fault,
+/// `n` and the seed, never on what the engine searched before, so one
+/// engine per worker thread gives the same cubes as [`n_detect_cubes`].
 #[derive(Debug)]
 pub struct NDetectEngine {
     podem: Podem,

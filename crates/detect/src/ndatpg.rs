@@ -178,7 +178,8 @@ mod tests {
     fn every_cube_detects_its_fault() {
         // The oracle is fault simulation of one fully specified vector:
         // each cube, its don't-cares filled either way, must detect the
-        // stuck-at fault of its own rare event.
+        // stuck-at fault of its own rare event. Event k's seed is 1 + k,
+        // as in `NdAtpgDetection::new(2, 1)`.
         use htforge_atpg::{fault_simulate, n_detect_cubes};
         for name in ["c2670", "c3540"] {
             let (nl, rare) = benchmark_profile(name);
