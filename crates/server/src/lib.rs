@@ -26,6 +26,7 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::atomic::AtomicBool;
 //! use std::sync::Arc;
 //! use htforge_server::{serve, ProgramCache, ServerConfig};
 //!
@@ -40,6 +41,7 @@
 //!     Vec::new(), // any `Write + Send` sink; the binary passes stdout
 //!     ServerConfig { workers: 1, ..ServerConfig::default() },
 //!     Arc::new(ProgramCache::new()),
+//!     Arc::new(AtomicBool::new(false)), // the binary's SIGTERM flag
 //! ).unwrap();
 //! assert_eq!(summary.stats.completed, 1);
 //! ```
@@ -66,6 +68,4 @@ pub use protocol::{
     parse_request, CircuitSource, JobKind, JobParams, JobProgress, JobResult, JobSpec, JobStatus,
     Request, RequestError, Response, REQUEST_SCHEMA, RESPONSE_SCHEMA,
 };
-pub use session::{
-    serve, serve_cancellable, serve_unix_socket, serve_unix_socket_with, SessionSummary,
-};
+pub use session::{serve, serve_unix_socket, SessionSummary};

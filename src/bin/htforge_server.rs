@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use htforge::server::{
-    read_records_with_archive, serve_cancellable, serve_unix_socket_with, FsyncPolicy,
-    JournalConfig, ProgramCache, ServerConfig, StatsSnapshot,
+    read_records_with_archive, serve, serve_unix_socket, FsyncPolicy, JournalConfig, ProgramCache,
+    ServerConfig, StatsSnapshot,
 };
 
 const USAGE: &str = "\
@@ -197,13 +197,13 @@ fn run() -> Result<(), String> {
 
     match socket {
         Some(path) => {
-            let stats = serve_unix_socket_with(&path, &config, Arc::new(ProgramCache::new()), stop)
+            let stats = serve_unix_socket(&path, &config, Arc::new(ProgramCache::new()), stop)
                 .map_err(|e| e.to_string())?;
             log_outcome("socket daemon", &stats);
             Ok(())
         }
         None => {
-            let summary = serve_cancellable(
+            let summary = serve(
                 BufReader::new(io::stdin()),
                 io::stdout(),
                 config,
