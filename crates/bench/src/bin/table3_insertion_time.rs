@@ -368,7 +368,7 @@ fn main() {
         // anyway (only successes checkpoint), so a re-run retries them.
         campaign.clear(&circuits);
     }
-    println!(
+    eprintln!(
         "wrote {} and results/report_<circuit>.json",
         bench_path.display()
     );
