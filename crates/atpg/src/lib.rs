@@ -10,6 +10,8 @@
 //! * [`cube`] — partial input assignments (test cubes) with conflict
 //!   checking and merging,
 //! * [`podem`] — the PODEM engine (justify-only and full-detect modes),
+//! * [`lift`] — the justifying sub-cube of a known satisfying vector,
+//!   read off in one backward pass instead of a search,
 //! * [`sat`] — the stuck-at miter as CNF, decided by a CDCL solver: a
 //!   verdict (with a detecting vector) where PODEM aborts, within a
 //!   conflict limit,
@@ -42,6 +44,7 @@
 pub mod cube;
 pub mod fault;
 pub mod fault_sim;
+pub mod lift;
 pub mod ndetect;
 pub mod podem;
 pub mod sat;
@@ -49,5 +52,6 @@ pub mod sat;
 pub use cube::Cube;
 pub use fault::Fault;
 pub use fault_sim::{all_faults, fault_simulate, FaultSimReport};
+pub use lift::Lifter;
 pub use ndetect::{n_detect_cubes, NDetectEngine};
 pub use podem::{Podem, PodemConfig, PodemMode, TestResult};

@@ -1,13 +1,14 @@
 //! Oracle tests: PODEM against brute-force enumeration on small random
 //! circuits. For every fault, PODEM's verdict (testable/untestable) and
-//! any produced cube must agree with exhaustive ground truth, and a
-//! witness-guided justify search must follow any satisfying vector
-//! without backtracking.
+//! any produced cube must agree with exhaustive ground truth, and the
+//! lifter must read a justifying sub-cube off any satisfying vector.
 
 use proptest::prelude::*;
 
-use htforge_atpg::{Fault, Podem, PodemConfig, TestResult};
+use htforge_atpg::{Fault, Lifter, Podem, PodemConfig, TestResult};
 use htforge_netlist::{GateKind, Netlist, NodeId};
+use htforge_scoap::Scoap;
+use htforge_sim::tri::justifies;
 use htforge_sim::{PatternSet, SimProgram, Tri};
 
 /// Builds a random small combinational netlist from a byte script
@@ -205,11 +206,11 @@ proptest! {
         }
     }
 
-    /// Every satisfying vector of every justifiable (node, value) is a
-    /// witness the guided search follows: it finds a test with zero
-    /// backtracks whose care bits are a sub-cube of the witness.
+    /// Every satisfying vector of every justifiable (node, value) lifts
+    /// to a sub-cube of itself that drives the node to the value under
+    /// three-valued simulation.
     #[test]
-    fn witnessed_justify_follows_every_satisfying_vector(
+    fn lift_justifies_from_every_satisfying_vector(
         num_inputs in 2usize..6,
         script in proptest::collection::vec(any::<u8>(), 9..45),
     ) {
@@ -219,25 +220,23 @@ proptest! {
             .collect();
         let all = PatternSet::from_vectors(num_inputs, &vectors);
         let good = SimProgram::compile(&nl).expect("valid").run(&all);
-        let mut podem = Podem::new(&nl, PodemConfig::justify()).expect("valid");
+        let scoap = Scoap::compute(&nl).expect("valid");
+        let mut lifter = Lifter::new(&nl, &scoap).expect("valid");
         for id in nl.node_ids() {
             for value in [false, true] {
-                let fault = Fault::for_rare_event(id, value);
                 for (p, witness) in vectors.iter().enumerate() {
                     if good.value(id, p) != value {
                         continue;
                     }
-                    let result = podem.generate_witnessed(fault, &good, p);
-                    prop_assert_eq!(podem.last_backtracks(), 0);
-                    let TestResult::Test(cube) = result else {
-                        return Err(TestCaseError::fail(format!(
-                            "witnessed {fault} gave {result:?}"
-                        )));
-                    };
+                    let cube = lifter.lift(id, value, &good, p);
                     for (&bit, &w) in cube.bits().iter().zip(witness) {
                         prop_assert!(bit == Tri::X || bit == Tri::from_bool(w));
                     }
-                    prop_assert!(cube_achieves(&nl, &cube, fault, false));
+                    prop_assert!(
+                        justifies(&nl, cube.bits(), id, value).expect("valid"),
+                        "cube {cube} from vector {p} misses {}={value}",
+                        nl.node(id).name()
+                    );
                 }
             }
         }

@@ -174,10 +174,10 @@ fn framework_output_is_pinned() {
     };
     assert_eq!(
         pinned("c2670", 8, 20),
-        (324, (321, 3, 36_564, 20), 20, 0xe11e_2b2f_bde4_e88b)
+        (324, (321, 3, 36_634, 20), 20, 0xe11e_2b2f_bde4_e88b)
     );
     assert_eq!(
         pinned("s1423", 6, 4),
-        (217, (208, 9, 12_981, 4), 4, 0x0acb_1315_2fcb_4e42)
+        (217, (208, 9, 13_018, 4), 4, 0x0acb_1315_2fcb_4e42)
     );
 }
