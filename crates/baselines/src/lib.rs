@@ -98,8 +98,9 @@ impl<'a> Prologue<'a> {
         max_fanin: usize,
         seed: u64,
     ) -> Result<Self, InsertionError> {
-        let comb = host.scan_cut();
+        // SCOAP levelizes the host; the cut inherits that level column.
         let scoap = Scoap::compute(host)?;
+        let comb = host.scan_cut();
         let prog = SimProgram::compile(&comb)?;
         let patterns = PatternSet::random(comb.inputs().len(), vectors, seed);
         let (rare, _) = RareNodeExtractor::new(theta).extract_budgeted(

@@ -20,6 +20,7 @@ use htforge_core::{
 };
 use htforge_detect::CoverageEvaluator;
 use htforge_netlist::AreaModel;
+use htforge_obs::RunBudget;
 use htforge_sim::{PatternSet, RareNodeExtractor};
 
 fn main() {
@@ -34,11 +35,10 @@ fn main() {
     let nl = htforge_circuits::load(&circuit).expect("known circuit");
     // One scan-cut, compiled golden model grades every payload strategy.
     let evaluator = CoverageEvaluator::new(&nl).expect("valid netlist");
-    let comb = evaluator.golden();
+    let (comb, prog) = (evaluator.golden(), evaluator.program());
     let patterns = PatternSet::random(comb.inputs().len(), vectors, 0xAB1A);
-    let rare = RareNodeExtractor::new(0.20)
-        .extract(comb, &patterns)
-        .expect("valid netlist");
+    let budget = RunBudget::unlimited();
+    let (rare, _) = RareNodeExtractor::new(0.20).extract_budgeted(prog, comb, &patterns, &budget);
     println!("ablations on {circuit} ({} rare nodes)\n", rare.len());
 
     // ---------------------------------------------------------------
@@ -60,7 +60,8 @@ fn main() {
             ..PodemConfig::default()
         };
         let start = std::time::Instant::now();
-        let graph = CompatGraph::build(comb, &rare, config).expect("combinational");
+        let (graph, _) =
+            CompatGraph::build_budgeted(prog, comb, &rare, config, &budget).expect("combinational");
         let elapsed = start.elapsed();
         let n = graph.len();
         let possible = n * n.saturating_sub(1) / 2;

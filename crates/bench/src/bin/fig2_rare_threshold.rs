@@ -10,7 +10,8 @@
 //! ```
 
 use htforge_bench::{HarnessOpts, Table};
-use htforge_sim::{PatternSet, RareNodeExtractor};
+use htforge_obs::RunBudget;
+use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -27,12 +28,13 @@ fn main() {
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
         let comb = nl.scan_cut();
+        let prog = SimProgram::compile(&comb).expect("valid netlist");
+        let budget = RunBudget::unlimited();
         let patterns = PatternSet::random(comb.inputs().len(), vectors, 0xF162);
         let mut row = vec![name.clone(), comb.node_count().to_string()];
         for (k, &theta) in thetas.iter().enumerate() {
-            let rare = RareNodeExtractor::new(theta)
-                .extract(&comb, &patterns)
-                .expect("valid netlist");
+            let (rare, _) =
+                RareNodeExtractor::new(theta).extract_budgeted(&prog, &comb, &patterns, &budget);
             fraction_sums[k] += rare.len() as f64 / comb.node_count() as f64;
             row.push(rare.len().to_string());
         }

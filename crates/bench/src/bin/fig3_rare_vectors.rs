@@ -8,7 +8,8 @@
 //! ```
 
 use htforge_bench::{HarnessOpts, Table};
-use htforge_sim::{PatternSet, RareNodeExtractor};
+use htforge_obs::RunBudget;
+use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -28,13 +29,14 @@ fn main() {
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
         let comb = nl.scan_cut();
+        let prog = SimProgram::compile(&comb).expect("valid netlist");
+        let budget = RunBudget::unlimited();
         let mut row = vec![name.clone()];
         let mut last_two = (usize::MAX, usize::MAX);
         for &v in &sweep {
             let patterns = PatternSet::random(comb.inputs().len(), v, 0xF163);
-            let rare = RareNodeExtractor::new(theta)
-                .extract(&comb, &patterns)
-                .expect("valid netlist");
+            let (rare, _) =
+                RareNodeExtractor::new(theta).extract_budgeted(&prog, &comb, &patterns, &budget);
             last_two = (last_two.1, rare.len());
             row.push(rare.len().to_string());
         }

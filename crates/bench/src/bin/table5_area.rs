@@ -14,7 +14,8 @@ use htforge_atpg::PodemConfig;
 use htforge_bench::{HarnessOpts, Table};
 use htforge_core::{clique, CompatGraph, InsertionConfig, InsertionFramework};
 use htforge_netlist::{AreaModel, AreaReport};
-use htforge_sim::{PatternSet, RareNodeExtractor};
+use htforge_obs::RunBudget;
+use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -35,13 +36,15 @@ fn main() {
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
         let comb = nl.scan_cut();
+        let prog = SimProgram::compile(&comb).expect("valid netlist");
         // Worst case = the largest feasible clique.
         let patterns = PatternSet::random(comb.inputs().len(), vectors, 0x7AB5);
-        let rare = RareNodeExtractor::new(0.20)
-            .extract(&comb, &patterns)
-            .expect("valid netlist");
-        let graph = CompatGraph::build(&comb, &rare, PodemConfig::justify())
-            .expect("combinational netlist");
+        let budget = RunBudget::unlimited();
+        let (rare, _) =
+            RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &patterns, &budget);
+        let (graph, _) =
+            CompatGraph::build_budgeted(&prog, &comb, &rare, PodemConfig::justify(), &budget)
+                .expect("combinational netlist");
         let upper = if opts.full { 192 } else { 48 };
         let q = clique::max_feasible_size(&graph, upper, 1).max(1);
 

@@ -246,10 +246,11 @@ impl InsertionFramework {
         let mut stages = budget.staged(&DEFAULT_STAGE_WEIGHTS);
 
         // Phase 0: combinational model, compiled once for profiling and
-        // the compatibility graph.
+        // the compatibility graph. SCOAP levelizes the host first, so the
+        // cut inherits that level column instead of levelizing again.
         let t0 = htforge_obs::span("preprocess");
-        let comb = nl.scan_cut();
         let scoap = Scoap::compute(nl)?;
+        let comb = nl.scan_cut();
         let prog = SimProgram::compile(&comb)?;
         timings.preprocess = t0.finish();
 
@@ -444,20 +445,18 @@ impl InsertionFramework {
             });
         }
 
-        // Phase 5: structural + functional validation of every emitted
-        // design. Structure was previously left to callers (and tests);
-        // making it a pipeline phase means a malformed netlist can never
-        // leave the framework silently, and gives the timing tables a
-        // `validation` column. The functional check simulates each
-        // design once under its false-filled activation cube (a
-        // one-pattern kernel run) and asserts the trigger fires and the
-        // payload gate shows the configured effect. Validation is never
-        // skipped under budget pressure: an unvalidated partial result
-        // is not a result.
+        // Phase 5: functional validation of every emitted design. Its
+        // structure was checked by `insert_trojan_with` as the last step
+        // of emission, which also left the level column cached for the
+        // compile here. The functional check simulates each design once
+        // under its false-filled activation cube (a one-pattern kernel
+        // run) and asserts the trigger fires and the payload gate shows
+        // the configured effect. Validation is never skipped under
+        // budget pressure: an unvalidated partial result is not a
+        // result.
         let t5 = htforge_obs::span("validation");
         htforge_obs::faultpoint!("framework.validate");
         for (i, design) in infected.iter().enumerate() {
-            design.netlist.validate()?;
             validate_functional(&design.netlist, std::slice::from_ref(&design.trojan), i)?;
         }
         timings.validation = t5.finish();
@@ -486,8 +485,9 @@ impl InsertionFramework {
     /// configuration). Instances are added sequentially; an instance
     /// whose payload would create a cycle with previously inserted
     /// trojan logic is skipped. The final netlist is validated like
-    /// every design of [`InsertionFramework::run`]: each instance's
-    /// trigger must fire under its own cube in the combined netlist.
+    /// every design of [`InsertionFramework::run`]: its structure by the
+    /// last instance's insertion, and each instance's trigger must fire
+    /// under its own cube in the combined netlist.
     ///
     /// # Errors
     ///
@@ -557,10 +557,10 @@ impl InsertionFramework {
         if instances.is_empty() {
             return Err(InsertionError::NoPayloadNet);
         }
-        // The structural and functional checks of Phase 5, on the final
-        // netlist: a later instance must not stop an earlier one firing.
+        // Phase 5's functional check on the final netlist (the last
+        // insertion checked its structure): a later instance must not
+        // stop an earlier one firing.
         let v = htforge_obs::span("validation");
-        combined.validate()?;
         validate_functional(&combined, &instances, 0)?;
         v.finish();
         Ok((combined, instances, outcome.degradations))
@@ -570,10 +570,12 @@ impl InsertionFramework {
 /// Functional validation of the trojans in one netlist: under each
 /// instance's activation cube (X bits filled with 0) its trigger must
 /// fire, and its payload gate must show the configured effect (`Flip`
-/// inverts the victim net, `ForceZero`/`ForceOne` pin it). The netlist
-/// is scan-cut and compiled once, and one kernel run checks every
-/// instance, one column each. Errors name instance `first + k` for the
-/// `k`-th of `instances`.
+/// inverts the victim net, `ForceZero`/`ForceOne` pin it). Structure is
+/// not rechecked here: [`insert_trojan_with`] validated `nl` when it
+/// built it, and the compile reuses the level column that left cached.
+/// The netlist is scan-cut and compiled once, and one kernel run checks
+/// every instance, one column each. Errors name instance `first + k`
+/// for the `k`-th of `instances`.
 fn validate_functional(
     nl: &Netlist,
     instances: &[TrojanInstance],

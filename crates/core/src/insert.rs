@@ -116,7 +116,9 @@ impl TrojanEmitter<'_> {
 ///
 /// The caller is responsible for having validated that `payload_net` is
 /// acyclicity-safe (see [`crate::payload`]); the resulting netlist is
-/// re-validated and a cycle would surface as an error here.
+/// re-validated and a cycle would surface as an error here. That is the
+/// design's one structural check: it leaves the level column cached, and
+/// the framework's validation phase only checks function.
 ///
 /// # Errors
 ///

@@ -76,13 +76,14 @@ pub fn levelize(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
     Ok(level)
 }
 
-/// The maximum logic level (circuit depth).
+/// The maximum logic level (circuit depth), read off the netlist's
+/// cached level column ([`Netlist::levels`]).
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] if the netlist is cyclic.
 pub fn depth(nl: &Netlist) -> Result<u32, NetlistError> {
-    Ok(levelize(nl)?.into_iter().max().unwrap_or(0))
+    Ok(nl.levels()?.iter().copied().max().unwrap_or(0))
 }
 
 /// Returns a bitmask (indexed by node) of the transitive fan-out of

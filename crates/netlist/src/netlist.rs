@@ -714,8 +714,12 @@ impl Netlist {
     /// gates suitable for bit-parallel simulation and PODEM.
     ///
     /// A netlist without DFFs is already its own combinational model: it
-    /// comes back as an unchanged clone, keeping its name and its cached
-    /// levels, so callers need not branch on [`Netlist::dffs`].
+    /// comes back as an unchanged clone, keeping its name, so callers
+    /// need not branch on [`Netlist::dffs`].
+    ///
+    /// The cut keeps the cached level column either way: DFFs are
+    /// level-0 sources before and after, and the dropped Q←D edge is
+    /// one levelization already ignores, so no node's level changes.
     #[must_use]
     pub fn scan_cut(&self) -> Netlist {
         if self.dffs.is_empty() {
@@ -723,7 +727,6 @@ impl Netlist {
         }
         let mut out = self.clone();
         out.name = format!("{}_scan", self.name);
-        out.touch();
         let dffs = std::mem::take(&mut out.dffs);
         for &dff in &dffs {
             let d = out.fanins(dff).first().copied();
@@ -790,6 +793,11 @@ impl Netlist {
     /// lists consistent with fan-ins, DFFs fully connected, and the
     /// combinational part acyclic.
     ///
+    /// Acyclicity is proved by [`Netlist::levels`], so a valid netlist
+    /// leaves its level column cached for the simulator compiler, SCOAP
+    /// and every scan cut or clone taken from it. The cache cannot go
+    /// stale: every mutation that changes fan-ins resets it.
+    ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
@@ -805,38 +813,19 @@ impl Netlist {
                 }
             }
             let got = self.fanin_len[id.index()] as usize;
-            match self.kind(id) {
-                NodeKind::Input => {
-                    if got != 0 {
-                        return Err(NetlistError::BadArity {
-                            gate: self.name_of(id).to_owned(),
-                            kind: "INPUT",
-                            got,
-                        });
-                    }
-                }
-                NodeKind::Dff => {
-                    if got != 1 {
-                        return Err(NetlistError::BadArity {
-                            gate: self.name_of(id).to_owned(),
-                            kind: "DFF",
-                            got,
-                        });
-                    }
-                }
-                NodeKind::Gate(k) => {
-                    if !k.arity_ok(got) {
-                        return Err(NetlistError::BadArity {
-                            gate: self.name_of(id).to_owned(),
-                            kind: k.bench_keyword(),
-                            got,
-                        });
-                    }
-                }
+            let (arity_ok, kind) = match self.kind(id) {
+                NodeKind::Input => (got == 0, "INPUT"),
+                NodeKind::Dff => (got == 1, "DFF"),
+                NodeKind::Gate(k) => (k.arity_ok(got), k.bench_keyword()),
+            };
+            if !arity_ok {
+                let gate = self.name_of(id).to_owned();
+                return Err(NetlistError::BadArity { gate, kind, got });
             }
         }
-        // Acyclicity of the combinational part (DFF edges are cut).
-        crate::graph::topo_order(self).map(|_| ())
+        // Acyclicity of the combinational part (DFF edges are cut),
+        // proved by the cached levelization later consumers read.
+        self.levels().map(|_| ())
     }
 
     /// Test-only raw edge injection (builds deliberately broken graphs).
@@ -964,6 +953,29 @@ mod tests {
     }
 
     #[test]
+    fn scan_cut_keeps_correct_levels() {
+        // q feeds a two-level cone whose output drives q's D: the cut
+        // retypes q and drops the Q←D edge, yet every level stays put.
+        let mut nl = Netlist::new("seq3");
+        let a = nl.add_input("a");
+        let q = nl.add_dff_deferred("q").unwrap();
+        let g1 = nl.add_gate("g1", GateKind::Nand, vec![a, q]).unwrap();
+        let g2 = nl.add_gate("g2", GateKind::Xor, vec![g1, q]).unwrap();
+        nl.connect_dff(q, g2).unwrap();
+        let r = nl.add_dff("r", g1).unwrap();
+        let o = nl.add_gate("o", GateKind::Or, vec![r, g2]).unwrap();
+        nl.mark_output(o);
+        let before = nl.levels().unwrap().to_vec();
+        let cut = nl.scan_cut();
+        assert_eq!(cut.levels().unwrap(), before.as_slice());
+        assert_eq!(
+            cut.levels().unwrap(),
+            crate::graph::levelize(&cut).unwrap().as_slice()
+        );
+        assert!(cut.validate().is_ok());
+    }
+
+    #[test]
     fn scan_cut_adds_pseudo_po_for_d_driver() {
         let mut nl = Netlist::new("seq2");
         let a = nl.add_input("a");
@@ -1004,6 +1016,26 @@ mod tests {
         let g2 = nl.add_gate("g2", GateKind::Or, vec![g1]).unwrap();
         // Manually create a cycle g1 <- g2.
         nl.add_fanin_edge_for_test(g1, g2);
+        assert!(matches!(
+            nl.validate(),
+            Err(NetlistError::CombinationalCycle { .. })
+        ));
+    }
+
+    #[test]
+    fn cached_levels_cannot_hide_a_cycle() {
+        // A trigger over v and b, and a flip payload over v: splicing the
+        // payload over a net that feeds the trigger closes a loop.
+        let mut nl = Netlist::new("loop");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let v = nl.add_gate("v", GateKind::And, vec![a, b]).unwrap();
+        nl.mark_output(v);
+        let trigger = nl.add_gate("t", GateKind::And, vec![v, b]).unwrap();
+        let payload = nl.add_gate("p", GateKind::Xor, vec![v, trigger]).unwrap();
+        assert!(nl.validate().is_ok());
+        assert_eq!(nl.levels().unwrap()[payload.index()], 3);
+        nl.splice_driver(v, payload);
         assert!(matches!(
             nl.validate(),
             Err(NetlistError::CombinationalCycle { .. })

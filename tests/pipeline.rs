@@ -164,6 +164,11 @@ fn framework_output_is_pinned() {
         })
         .run(&nl)
         .unwrap();
+        // Phase 5 checks function only; structure was checked when each
+        // design was emitted, and every emitted design must still pass.
+        for design in &outcome.infected {
+            design.netlist.validate().unwrap();
+        }
         let s = outcome.graph_stats;
         (
             outcome.rare_nodes.len(),
