@@ -75,11 +75,10 @@ impl BaselineOutcome {
 /// the framework profiles it, and one simulation program over its
 /// combinational model for every validation search of the run.
 struct Prologue<'a> {
-    host: &'a Netlist,
     scoap: Scoap,
     rare: RareNodeSet,
     prog: SimProgram,
-    max_fanin: usize,
+    emitter: TrojanEmitter<'a>,
 }
 
 impl<'a> Prologue<'a> {
@@ -98,7 +97,9 @@ impl<'a> Prologue<'a> {
         max_fanin: usize,
         seed: u64,
     ) -> Result<Self, InsertionError> {
-        // SCOAP levelizes the host; the cut inherits that level column.
+        // The campaign's one structural check of the host; it leaves the
+        // level column cached for SCOAP, the cut and every design.
+        host.validate()?;
         let scoap = Scoap::compute(host)?;
         let comb = host.scan_cut();
         let prog = SimProgram::compile(&comb)?;
@@ -115,12 +116,12 @@ impl<'a> Prologue<'a> {
                 needed: trigger_nodes,
             });
         }
+        let emitter = TrojanEmitter::new(host, &scoap, max_fanin, PayloadKind::Flip);
         Ok(Prologue {
-            host,
             scoap,
             rare,
             prog,
-            max_fanin,
+            emitter,
         })
     }
 
@@ -144,13 +145,10 @@ impl<'a> Prologue<'a> {
             Some(v) => Cube::from_tris(v.iter().map(|&b| Tri::from_bool(b)).collect()),
             None => Cube::all_x(self.prog.num_inputs()),
         };
-        let emitter = TrojanEmitter {
-            host: self.host,
-            scoap: &self.scoap,
-            max_fanin: self.max_fanin,
-            payload_kind: PayloadKind::Flip,
-        };
-        match emitter.emit(leaves, PayloadStrategy::Random(payload_seed), tag, cube) {
+        match self
+            .emitter
+            .emit(leaves, PayloadStrategy::Random(payload_seed), tag, cube)
+        {
             Ok(design) => Ok(Some(design)),
             Err(InsertionError::NoPayloadNet) => Ok(None),
             Err(e) => Err(e),

@@ -109,6 +109,47 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// FNV-1a over the `.bench` text of every built-in circuit, in
+    /// [`names`] order, so that a change to the generator that moves any
+    /// output byte fails here.
+    #[test]
+    fn generated_circuits_are_pinned() {
+        let digests: Vec<(&str, u64)> = names()
+            .into_iter()
+            .map(|name| {
+                let text = htforge_netlist::bench::write(&load(name).unwrap());
+                let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                (name, digest)
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                ("c17", 0x97dc_2d55_714e_aea8),
+                ("c432", 0xf555_4db2_2b3d_94a9),
+                ("c499", 0x75c5_9be5_9454_512d),
+                ("c880", 0xd66a_c2e7_68dc_ba7a),
+                ("c1355", 0x3714_2f47_edff_9a2e),
+                ("c1908", 0xe997_e149_b39d_1540),
+                ("c2670", 0xc56a_24e6_6d1e_1d4b),
+                ("c3540", 0x7ee0_d9da_f751_ce5e),
+                ("c5315", 0xd7c6_ede3_bd0b_81ca),
+                ("c6288", 0x59b0_b697_dd56_2499),
+                ("c7552", 0x5bdf_3626_8ef2_9b98),
+                ("s1423", 0xf047_4c07_9644_2483),
+                ("s5378", 0xeb4e_8f9e_63a6_deb8),
+                ("s9234", 0x3e09_0069_2a23_f10e),
+                ("s13207", 0x5700_1c03_14d8_9331),
+                ("s15850", 0x6568_7d57_5bce_82f3),
+                ("s35932", 0x49fc_d9bd_7a43_070b),
+                ("s38417", 0x2ac1_0897_5a39_a36b),
+                ("s38584", 0xe680_7359_1f3b_1aaa),
+            ]
+        );
+    }
+
     #[test]
     fn unknown_name_errors() {
         let err = load("c9999").unwrap_err();

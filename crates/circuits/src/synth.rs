@@ -146,6 +146,10 @@ pub fn generate(profile: &CircuitProfile) -> Netlist {
     // near p = 0.5, with a *minority* of rare nodes — the Fig. 2 profile.
     let mut prob: Vec<f64> = vec![0.5; nl.node_count()];
 
+    // Signals with no consumer yet: every input and DFF to start with.
+    // Kept as a running count, so the stopping rule below costs O(fan-in)
+    // per gate instead of a scan of the whole netlist.
+    let mut dangling = nl.node_count();
     let mut core_gates = 0usize;
     while core_gates < core_budget {
         let arity = {
@@ -188,6 +192,14 @@ pub fn generate(profile: &CircuitProfile) -> Netlist {
         if kind.is_unary() {
             fanins.truncate(1);
         }
+        // The new gate dangles; each distinct fan-in it gives a first
+        // consumer stops dangling (`dedup` only drops adjacent repeats).
+        dangling += 1;
+        for (k, f) in fanins.iter().enumerate() {
+            if nl.fanouts(*f).is_empty() && !fanins[..k].contains(f) {
+                dangling -= 1;
+            }
+        }
         let id = nl
             .add_gate(format!("g{core_gates}"), kind, fanins)
             .expect("fresh gate name");
@@ -195,8 +207,9 @@ pub fn generate(profile: &CircuitProfile) -> Netlist {
         prob.push(p_out);
         debug_assert_eq!(prob.len(), nl.node_count());
         core_gates += 1;
-        // Leave room for collectors over the *current* dangling estimate.
-        if core_gates + collector_cost(&nl, profile.outputs) >= profile.gates {
+        // Leave room for collectors over the *current* dangling count:
+        // one gate per three dangling signals plus one per output.
+        if core_gates + dangling / 3 + profile.outputs >= profile.gates {
             break;
         }
     }
@@ -276,16 +289,6 @@ fn estimate_probability(kind: GateKind, fanin_probs: &[f64]) -> f64 {
             }
         }
     }
-}
-
-/// Rough upper bound on collector gates needed right now: one gate per
-/// three dangling signals plus one per output.
-fn collector_cost(nl: &Netlist, outputs: usize) -> usize {
-    let dangling = nl
-        .node_ids()
-        .filter(|&id| nl.node(id).fanouts().is_empty())
-        .count();
-    dangling / 3 + outputs
 }
 
 #[cfg(test)]

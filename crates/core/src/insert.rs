@@ -8,12 +8,12 @@
 //! insertion) for the framework and the baseline inserters alike.
 
 use htforge_atpg::Cube;
-use htforge_netlist::{netlist::NodeId, GateKind, Netlist};
+use htforge_netlist::{graph, netlist::NodeId, GateKind, Netlist, NetlistError};
 use htforge_scoap::Scoap;
 
 use crate::error::InsertionError;
 use crate::framework::InfectedDesign;
-use crate::payload::{choose_payload, PayloadKind, PayloadStrategy};
+use crate::payload::{drives_something, is_safe, pick_random, PayloadKind, PayloadStrategy};
 use crate::trigger::{PlanSignal, TriggerPlan};
 
 /// Everything known about one inserted trojan.
@@ -54,24 +54,54 @@ impl TrojanInstance {
     }
 }
 
-/// How a trigger set becomes an infected design: the host, its SCOAP
-/// measures and the per-run trojan shape, fixed once per campaign.
-#[derive(Debug, Clone, Copy)]
+/// How a trigger set becomes an infected design: the host, its payload
+/// candidates in observability order and the per-run trojan shape, fixed
+/// once per campaign.
+///
+/// [`TrojanEmitter::new`] sorts the host's payload candidates once, so
+/// each emission only walks the fan-in cone of its trigger nodes and the
+/// head of that order, however large the host is.
+#[derive(Debug, Clone)]
 pub struct TrojanEmitter<'a> {
-    /// The golden host netlist.
-    pub host: &'a Netlist,
-    /// SCOAP measures of `host` (payload ranking).
-    pub scoap: &'a Scoap,
-    /// Maximum fan-in of the trigger gates (`k`).
-    pub max_fanin: usize,
-    /// Payload effect spliced over the victim net.
-    pub payload_kind: PayloadKind,
+    host: &'a Netlist,
+    /// Every gate that drives a consumer or a primary output, by
+    /// `(SCOAP CO, id)`: the `MostObservable` order.
+    by_observability: Vec<NodeId>,
+    max_fanin: usize,
+    payload_kind: PayloadKind,
 }
 
-impl TrojanEmitter<'_> {
+impl<'a> TrojanEmitter<'a> {
+    /// An emitter over `host`, with `scoap` its SCOAP measures, trigger
+    /// gates of fan-in at most `max_fanin` (`k`) and a `payload_kind`
+    /// splice over the victim net.
+    #[must_use]
+    pub fn new(
+        host: &'a Netlist,
+        scoap: &Scoap,
+        max_fanin: usize,
+        payload_kind: PayloadKind,
+    ) -> Self {
+        let mut by_observability: Vec<NodeId> = host
+            .node_ids()
+            .filter(|&id| drives_something(host, id))
+            .collect();
+        // Ties by id: the first minimum `choose_payload` returns.
+        by_observability.sort_unstable_by_key(|&id| (scoap.co(id), id));
+        TrojanEmitter {
+            host,
+            by_observability,
+            max_fanin,
+            payload_kind,
+        }
+    }
+
     /// Synthesizes the trigger tree over `leaves` (rare node, rare
     /// value), chooses the payload net by `payload` and inserts both into
     /// a copy of the host, tagging inserted signals `ht{tag}_…`.
+    ///
+    /// The payload net is the one [`choose_payload`] returns for the
+    /// leaves' nodes.
     ///
     /// # Errors
     ///
@@ -82,6 +112,8 @@ impl TrojanEmitter<'_> {
     /// # Panics
     ///
     /// Panics if `leaves` is empty.
+    ///
+    /// [`choose_payload`]: crate::payload::choose_payload
     pub fn emit(
         &self,
         leaves: &[(NodeId, bool)],
@@ -89,21 +121,64 @@ impl TrojanEmitter<'_> {
         tag: &str,
         activation_cube: Cube,
     ) -> Result<InfectedDesign, InsertionError> {
+        let nodes: Vec<NodeId> = leaves.iter().map(|&(n, _)| n).collect();
+        let reach = graph::transitive_fanin(self.host, &nodes);
+        let payload_net = self
+            .payload_net(&reach, &[], payload)
+            .ok_or(InsertionError::NoPayloadNet)?;
+        let (netlist, trojan) =
+            self.insert_into(self.host, leaves, payload_net, tag, activation_cube)?;
+        Ok(InfectedDesign { netlist, trojan })
+    }
+
+    /// Synthesizes the trigger tree over `leaves` and inserts it, with the
+    /// payload splice over `payload_net`, into a copy of `base`: the host
+    /// or a netlist grown from it by earlier insertions.
+    pub(crate) fn insert_into(
+        &self,
+        base: &Netlist,
+        leaves: &[(NodeId, bool)],
+        payload_net: NodeId,
+        tag: &str,
+        activation_cube: Cube,
+    ) -> Result<(Netlist, TrojanInstance), InsertionError> {
         let rare_values: Vec<bool> = leaves.iter().map(|&(_, v)| v).collect();
         let plan = TriggerPlan::synthesize(&rare_values, self.max_fanin);
-        let nodes: Vec<NodeId> = leaves.iter().map(|&(n, _)| n).collect();
-        let payload_net = choose_payload(self.host, self.scoap, &nodes, payload)
-            .ok_or(InsertionError::NoPayloadNet)?;
-        let (netlist, trojan) = insert_trojan_with(
-            self.host,
+        insert_trojan_with(
+            base,
             leaves,
             &plan,
             payload_net,
             self.payload_kind,
             tag,
             activation_cube,
-        )?;
-        Ok(InfectedDesign { netlist, trojan })
+        )
+    }
+
+    /// The payload net by `payload` among the host gates that are safe
+    /// against `reach` (a transitive fan-in mask over the host that
+    /// covers the trigger nodes) and not in `used`. `MostObservable`
+    /// stops at the first such gate of the CO order; `Random` shuffles
+    /// all of them in id order, as
+    /// [`choose_payload`](crate::payload::choose_payload) does.
+    pub(crate) fn payload_net(
+        &self,
+        reach: &[bool],
+        used: &[NodeId],
+        payload: PayloadStrategy,
+    ) -> Option<NodeId> {
+        let eligible = |id: &NodeId| is_safe(self.host, reach, *id) && !used.contains(id);
+        match payload {
+            PayloadStrategy::MostObservable => self.by_observability.iter().copied().find(eligible),
+            PayloadStrategy::Random(seed) => {
+                let candidates = self
+                    .host
+                    .node_ids()
+                    .filter(|&id| drives_something(self.host, id) && eligible(&id))
+                    .collect();
+                pick_random(candidates, seed)
+            }
+        }
     }
 }
 
@@ -115,10 +190,28 @@ impl TrojanEmitter<'_> {
 /// trigger vector is known.
 ///
 /// The caller is responsible for having validated that `payload_net` is
-/// acyclicity-safe (see [`crate::payload`]); the resulting netlist is
-/// re-validated and a cycle would surface as an error here. That is the
-/// design's one structural check: it leaves the level column cached, and
-/// the framework's validation phase only checks function.
+/// acyclicity-safe (see [`crate::payload`]); a cycle would surface as an
+/// error here.
+///
+/// # Structural contract
+///
+/// `nl` must be structurally valid ([`Netlist::validate`]): the
+/// framework and the baseline inserters validate their host once per
+/// campaign, and the parsers end in `validate`. The edit is checked
+/// locally instead of by a whole-netlist `validate`:
+///
+/// * `nl`'s level column is read before the copy, so the copy carries
+///   it, and [`Netlist::add_gate`] and [`Netlist::splice_driver`] keep it
+///   up to date. Reading it afterwards proves acyclicity; a cycle drops
+///   it, and the full levelization that follows names the cycle.
+/// * `add_gate` checks each new gate's arity, and it and
+///   `splice_driver` keep fan-ins and fan-outs consistent; the nodes they
+///   touched (the new gates, the payload net and its former consumers)
+///   are checked for that consistency.
+///
+/// So the design costs time in proportion to the trojan beyond the
+/// copy, and leaves its level column cached for the functional check's
+/// compile.
 ///
 /// # Errors
 ///
@@ -149,6 +242,7 @@ pub fn insert_trojan_with(
             .all(|(&pv, &(_, cv))| pv == cv),
         "plan must be built from these leaves' rare values"
     );
+    nl.levels()?;
     let mut out = nl.clone();
     out.set_name(format!("{}_{tag}", nl.name()));
 
@@ -162,9 +256,7 @@ pub fn insert_trojan_with(
                 PlanSignal::Gate(g) => gate_ids[g],
             })
             .collect();
-        let id = out
-            .add_gate(format!("ht{tag}_t{k}"), gate.kind, fanins)
-            .map_err(InsertionError::Netlist)?;
+        let id = out.add_gate(format!("ht{tag}_t{k}"), gate.kind, fanins)?;
         gate_ids.push(id);
     }
     let trigger_output = match plan.output() {
@@ -173,36 +265,41 @@ pub fn insert_trojan_with(
     };
 
     // Payload splice over the victim net.
+    let first_payload_gate = out.node_count();
     let payload_gate = match payload_kind {
-        PayloadKind::Flip => out
-            .add_gate(
-                format!("ht{tag}_payload"),
-                GateKind::Xor,
-                vec![payload_net, trigger_output],
-            )
-            .map_err(InsertionError::Netlist)?,
-        PayloadKind::ForceOne => out
-            .add_gate(
-                format!("ht{tag}_payload"),
-                GateKind::Or,
-                vec![payload_net, trigger_output],
-            )
-            .map_err(InsertionError::Netlist)?,
+        PayloadKind::Flip => out.add_gate(
+            format!("ht{tag}_payload"),
+            GateKind::Xor,
+            vec![payload_net, trigger_output],
+        )?,
+        PayloadKind::ForceOne => out.add_gate(
+            format!("ht{tag}_payload"),
+            GateKind::Or,
+            vec![payload_net, trigger_output],
+        )?,
         PayloadKind::ForceZero => {
-            let ntrig = out
-                .add_gate(format!("ht{tag}_ninv"), GateKind::Not, vec![trigger_output])
-                .map_err(InsertionError::Netlist)?;
+            let ntrig =
+                out.add_gate(format!("ht{tag}_ninv"), GateKind::Not, vec![trigger_output])?;
             out.add_gate(
                 format!("ht{tag}_payload"),
                 GateKind::And,
                 vec![payload_net, ntrig],
-            )
-            .map_err(InsertionError::Netlist)?
+            )?
         }
     };
     out.splice_driver(payload_net, payload_gate);
 
-    out.validate().map_err(InsertionError::Netlist)?;
+    out.levels()?;
+    let added = gate_ids
+        .iter()
+        .copied()
+        .chain((first_payload_gate..out.node_count()).map(NodeId::from_index));
+    let touched = added
+        .chain([payload_net])
+        .chain(out.fanouts(payload_gate).iter().copied());
+    for id in touched {
+        check_node(&out, id)?;
+    }
 
     Ok((
         out,
@@ -218,6 +315,18 @@ pub fn insert_trojan_with(
     ))
 }
 
+/// Whether each fan-in and fan-out edge of `id` is recorded at both
+/// ends, as [`Netlist::validate`] requires of every node.
+fn check_node(nl: &Netlist, id: NodeId) -> Result<(), NetlistError> {
+    let fanins_agree = nl.fanins(id).iter().all(|&f| nl.fanouts(f).contains(&id));
+    let fanouts_agree = nl.fanouts(id).iter().all(|&c| nl.fanins(c).contains(&id));
+    if fanins_agree && fanouts_agree {
+        Ok(())
+    } else {
+        Err(NetlistError::UndefinedSignal(nl.name_of(id).to_owned()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +336,7 @@ mod tests {
     use htforge_netlist::bench;
     use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     const FOUR_CONES: &str = "\
 INPUT(a1)
@@ -283,6 +392,52 @@ o = XOR(a1, b1)
         )
         .unwrap();
         (nl, infected, trojan)
+    }
+
+    /// The emitter's walk over the CO order picks the net
+    /// `choose_payload` picks, for random trigger sets on a
+    /// combinational and a sequential host; `Random` draws agree too.
+    #[test]
+    fn emitter_walk_matches_choose_payload() {
+        for circuit in ["c2670", "s1423"] {
+            let nl = htforge_circuits::load(circuit).unwrap();
+            let scoap = Scoap::compute(&nl).unwrap();
+            let emitter = TrojanEmitter::new(&nl, &scoap, 4, PayloadKind::Flip);
+            let mut rng = StdRng::seed_from_u64(7);
+            for trial in 0..200u64 {
+                let q = rng.gen_range(1..13);
+                let nodes: Vec<NodeId> = (0..q)
+                    .map(|_| NodeId::from_index(rng.gen_range(0..nl.node_count())))
+                    .collect();
+                let reach = graph::transitive_fanin(&nl, &nodes);
+                for strategy in [
+                    PayloadStrategy::MostObservable,
+                    PayloadStrategy::Random(trial),
+                ] {
+                    assert_eq!(
+                        emitter.payload_net(&reach, &[], strategy),
+                        crate::payload::choose_payload(&nl, &scoap, &nodes, strategy),
+                        "{circuit} trial {trial} {strategy:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn used_nets_are_excluded_until_none_is_left() {
+        let nl = bench::parse(FOUR_CONES, "t").unwrap();
+        let scoap = htforge_scoap::Scoap::compute(&nl).unwrap();
+        let emitter = TrojanEmitter::new(&nl, &scoap, 4, PayloadKind::Flip);
+        let w = nl.find("w").unwrap();
+        let reach = graph::transitive_fanin(&nl, &[w]);
+        let mut used = Vec::new();
+        while let Some(net) = emitter.payload_net(&reach, &used, PayloadStrategy::MostObservable) {
+            assert!(!used.contains(&net) && net != w);
+            used.push(net);
+        }
+        // x, v and o: every gate but the trigger node.
+        assert_eq!(used.len(), 3);
     }
 
     #[test]

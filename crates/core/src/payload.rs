@@ -57,30 +57,39 @@ pub fn safe_payload_candidates(nl: &Netlist, trigger_nodes: &[NodeId]) -> Vec<No
     // O(fanout) instead of running a fresh forward traversal per node
     // (which made this O(gates²) — seconds on s38584-scale hosts).
     let reaches_trigger = graph::transitive_fanin(nl, trigger_nodes);
-    let mut out = Vec::new();
-    for (id, node) in nl.iter() {
-        if !matches!(node.kind(), NodeKind::Gate(_)) {
-            continue;
-        }
-        if trigger_nodes.contains(&id) {
-            continue;
-        }
-        // Victim must drive something (a PO counts as an implicit sink).
-        if node.fanouts().is_empty() && !nl.is_output(id) {
-            continue;
-        }
-        // Acyclicity: the XOR output feeds the victim's current consumers;
-        // a cycle forms iff a trigger node is reachable from any of them.
-        if node.fanouts().iter().all(|c| !reaches_trigger[c.index()]) {
-            out.push(id);
-        }
-    }
-    out
+    nl.node_ids()
+        .filter(|&id| drives_something(nl, id) && is_safe(nl, &reaches_trigger, id))
+        .collect()
+}
+
+/// A gate whose value is consumed: by a gate, a DFF or a primary output
+/// (an implicit sink). Only such gates are payload candidates.
+pub(crate) fn drives_something(nl: &Netlist, id: NodeId) -> bool {
+    matches!(nl.kind(id), NodeKind::Gate(_)) && (!nl.fanouts(id).is_empty() || nl.is_output(id))
+}
+
+/// Whether splicing a payload over `id` keeps the design acyclic and
+/// the trigger intact, given `reach`, the transitive fan-in of the
+/// trigger nodes ([`graph::transitive_fanin`]): the payload's output
+/// feeds `id`'s current consumers, so a cycle forms iff one of them
+/// reaches a trigger node. A gate in `reach` that is not itself a
+/// trigger node has a consumer in `reach`, so `!reach[id]` only adds the
+/// exclusion of the trigger nodes.
+pub(crate) fn is_safe(nl: &Netlist, reach: &[bool], id: NodeId) -> bool {
+    !reach[id.index()] && nl.fanouts(id).iter().all(|c| !reach[c.index()])
+}
+
+/// The first of `candidates` after a shuffle seeded with `seed`.
+pub(crate) fn pick_random(mut candidates: Vec<NodeId>, seed: u64) -> Option<NodeId> {
+    candidates.shuffle(&mut StdRng::seed_from_u64(seed));
+    candidates.first().copied()
 }
 
 /// Picks one payload net per `strategy` from the safe candidates.
 ///
 /// Returns `None` when no net is safe (tiny or degenerate circuits).
+/// [`crate::TrojanEmitter`] makes the same choice without rescanning the
+/// host for every trojan.
 #[must_use]
 pub fn choose_payload(
     nl: &Netlist,
@@ -88,17 +97,10 @@ pub fn choose_payload(
     trigger_nodes: &[NodeId],
     strategy: PayloadStrategy,
 ) -> Option<NodeId> {
-    let mut candidates = safe_payload_candidates(nl, trigger_nodes);
-    if candidates.is_empty() {
-        return None;
-    }
+    let candidates = safe_payload_candidates(nl, trigger_nodes);
     match strategy {
         PayloadStrategy::MostObservable => candidates.into_iter().min_by_key(|&id| scoap.co(id)),
-        PayloadStrategy::Random(seed) => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            candidates.shuffle(&mut rng);
-            candidates.first().copied()
-        }
+        PayloadStrategy::Random(seed) => pick_random(candidates, seed),
     }
 }
 

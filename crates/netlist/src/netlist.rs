@@ -19,8 +19,9 @@
 //!   `&[NodeId]` slice. Bulk builders (the streaming parsers) instead
 //!   call [`Netlist::compact_fanouts`] once to build the exact CSR with
 //!   zero slack.
-//! * **Levels** are computed on demand and cached; any structural
-//!   mutation invalidates the cache.
+//! * **Levels** are computed on demand and cached. [`Netlist::add_gate`]
+//!   and [`Netlist::splice_driver`] keep a cached column up to date (the
+//!   trojan-insertion edits); every other structural mutation drops it.
 //!
 //! Node data is borrowed through the lightweight [`NodeRef`] view, which
 //! keeps the pre-SoA accessor API (`nl.node(id).fanins()`, `.name()`,
@@ -203,7 +204,8 @@ pub struct Netlist {
     /// O(1) `is_output` membership mirror of `outputs`.
     output_flag: Vec<bool>,
     dffs: Vec<NodeId>,
-    /// Cached levelization; reset by every structural mutation.
+    /// Cached levelization; kept up to date by `add_gate` and
+    /// `splice_driver`, reset by every other structural mutation.
     levels: OnceLock<Result<Vec<u32>, NetlistError>>,
 }
 
@@ -375,9 +377,17 @@ impl Netlist {
         (0..self.node_atom.len() as u32).map(NodeId)
     }
 
-    /// Logic level of every node (0 for inputs/DFFs), cached until the
-    /// next structural mutation. Hot paths (the sim compiler, SCOAP)
-    /// read this column instead of re-levelizing.
+    /// Logic level of every node (0 for inputs/DFFs), computed by
+    /// [`crate::graph::levelize`] on first use and cached. Hot paths (the
+    /// sim compiler, SCOAP) read this column instead of re-levelizing.
+    ///
+    /// The cache follows the two edits trojan insertion makes: a gate
+    /// added by [`Netlist::add_gate`] extends it, and
+    /// [`Netlist::splice_driver`] raises levels through the new driver's
+    /// fan-out cone, so a clone of a levelized host stays levelized in
+    /// time proportional to the edit. A splice that closes a cycle
+    /// drops the cache instead, and the next call levelizes in full and
+    /// reports the cycle. Every other structural mutation drops it too.
     ///
     /// # Errors
     ///
@@ -625,11 +635,18 @@ impl Netlist {
                 return Err(NetlistError::InvalidNodeId(f.0));
             }
         }
+        let cached = self.levels.take();
         let atom = self.intern_name(&name);
         let id = self.push_raw(atom, KIND_GATE_BASE + kind.code())?;
         self.set_fanins_raw(id, &fanins);
         for &f in &fanins {
             self.fanout_push(f, id);
+        }
+        // A new gate has no consumers, so only its own level is new.
+        if let Some(Ok(mut levels)) = cached {
+            let level = fanins.iter().map(|f| levels[f.index()]).max().unwrap_or(0) + 1;
+            levels.push(level);
+            let _ = self.levels.set(Ok(levels));
         }
         Ok(id)
     }
@@ -755,11 +772,14 @@ impl Netlist {
     /// itself was added, so `new_driver` may (and typically does) take
     /// `victim` as one of its own fan-ins without creating a self-loop.
     ///
+    /// A cached level column is kept: see [`Netlist::levels`].
+    ///
     /// # Panics
     ///
     /// Panics if either id is out of range or if `victim == new_driver`.
     pub fn splice_driver(&mut self, victim: NodeId, new_driver: NodeId) {
         assert_ne!(victim, new_driver, "cannot splice a node over itself");
+        let cached = self.levels.take();
         let consumers: Vec<NodeId> = self
             .fanouts(victim)
             .iter()
@@ -786,7 +806,45 @@ impl Netlist {
                 self.outputs[pos] = new_driver;
             }
         }
-        self.touch();
+        if let Some(Ok(mut levels)) = cached {
+            if self.raise_levels(&mut levels, new_driver) {
+                let _ = self.levels.set(Ok(levels));
+            }
+        }
+    }
+
+    /// Raises `levels` through the fan-out cone of `driver` after edges
+    /// out of `driver` were added; every other edge is as `levels` was
+    /// computed for. Levels only rise. Nodes are settled in order of
+    /// their old level, a topological order of the cone, so each is
+    /// settled once. Returns `false` when the walk reaches `driver`
+    /// again: the new edges closed a cycle and `levels` is meaningless.
+    fn raise_levels(&self, levels: &mut [u32], driver: NodeId) -> bool {
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, HashSet};
+        let mut queued: HashSet<NodeId> = HashSet::new();
+        let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
+        let mut settle = driver;
+        loop {
+            let next = levels[settle.index()] + 1;
+            for &c in self.fanouts(settle) {
+                if c == driver {
+                    return false;
+                }
+                // A DFF's Q←D edge is sequential: its level stays 0.
+                if self.kinds[c.index()] == KIND_DFF || levels[c.index()] >= next {
+                    continue;
+                }
+                if queued.insert(c) {
+                    heap.push(Reverse((levels[c.index()], c)));
+                }
+                levels[c.index()] = next;
+            }
+            match heap.pop() {
+                Some(Reverse((_, id))) => settle = id,
+                None => return true,
+            }
+        }
     }
 
     /// Validates structural invariants: every fan-in id in range, fan-out
@@ -796,7 +854,9 @@ impl Netlist {
     /// Acyclicity is proved by [`Netlist::levels`], so a valid netlist
     /// leaves its level column cached for the simulator compiler, SCOAP
     /// and every scan cut or clone taken from it. The cache cannot go
-    /// stale: every mutation that changes fan-ins resets it.
+    /// stale: [`Netlist::add_gate`] and [`Netlist::splice_driver`] keep it
+    /// up to date, and every other mutation that changes fan-ins resets
+    /// it.
     ///
     /// # Errors
     ///

@@ -164,10 +164,18 @@ fn framework_output_is_pinned() {
         })
         .run(&nl)
         .unwrap();
-        // Phase 5 checks function only; structure was checked when each
-        // design was emitted, and every emitted design must still pass.
+        // Phase 5 checks function only; structure was checked locally
+        // when each design was emitted, and every emitted design must
+        // still pass the full check, with the level column it kept equal
+        // to a full levelization.
         for design in &outcome.infected {
             design.netlist.validate().unwrap();
+            assert_eq!(
+                design.netlist.levels().unwrap(),
+                htforge::netlist::graph::levelize(&design.netlist)
+                    .unwrap()
+                    .as_slice()
+            );
         }
         let s = outcome.graph_stats;
         (

@@ -2,10 +2,16 @@
 
 use proptest::prelude::*;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use htforge::atpg::Cube;
 use htforge::circuits::synth::{generate, CircuitProfile};
-use htforge::core::TriggerPlan;
-use htforge::netlist::bench;
+use htforge::core::insert::insert_trojan_with;
+use htforge::core::payload::{safe_payload_candidates, PayloadKind};
+use htforge::core::trigger::PlanSignal;
+use htforge::core::{InsertionError, TriggerPlan};
+use htforge::netlist::{bench, graph, GateKind, Netlist, NodeId, NodeKind};
 use htforge::sim::{PatternSet, SimProgram, Tri};
 
 fn arb_tri() -> impl Strategy<Value = Tri> {
@@ -135,5 +141,134 @@ proptest! {
         let scalar = kind.eval_bool(&inputs);
         let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
         prop_assert_eq!(kind.eval_bits(&words) & 1 == 1, scalar);
+    }
+}
+
+/// A random DAG with a few DFFs, built by `add_gate` and `add_dff` alone,
+/// so its level column is never cached and [`Netlist::validate`] on it
+/// levelizes from scratch. Gates nothing consumes become outputs.
+fn random_dag(seed: u64, inputs: usize, gates: usize) -> Netlist {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut nl = Netlist::new("dag");
+    let mut pool: Vec<NodeId> = (0..inputs).map(|i| nl.add_input(format!("i{i}"))).collect();
+    for g in 0..gates {
+        let d = pool[rng.gen_range(0..pool.len())];
+        let id = if rng.gen_bool(0.05) {
+            nl.add_dff(format!("q{g}"), d).unwrap()
+        } else {
+            let kind = GateKind::ALL[rng.gen_range(0..GateKind::ALL.len())];
+            let arity = if kind.is_unary() {
+                1
+            } else {
+                rng.gen_range(2..4)
+            };
+            let mut fanins = vec![d];
+            fanins.extend((1..arity).map(|_| pool[rng.gen_range(0..pool.len())]));
+            nl.add_gate(format!("g{g}"), kind, fanins).unwrap()
+        };
+        pool.push(id);
+    }
+    for id in nl.node_ids() {
+        if matches!(nl.kind(id), NodeKind::Gate(_)) && nl.fanouts(id).is_empty() {
+            nl.mark_output(id);
+        }
+    }
+    nl
+}
+
+/// The edit `insert_trojan_with` makes, replayed on `nl` by hand.
+fn replay_insertion(
+    nl: &mut Netlist,
+    leaves: &[(NodeId, bool)],
+    plan: &TriggerPlan,
+    payload_net: NodeId,
+    kind: PayloadKind,
+) {
+    let mut gates: Vec<NodeId> = Vec::new();
+    let signal = |gates: &[NodeId], s: PlanSignal| match s {
+        PlanSignal::Leaf(i) => leaves[i].0,
+        PlanSignal::Gate(g) => gates[g],
+    };
+    for (k, gate) in plan.gates().iter().enumerate() {
+        let fanins = gate.inputs.iter().map(|&s| signal(&gates, s)).collect();
+        gates.push(nl.add_gate(format!("ht0_t{k}"), gate.kind, fanins).unwrap());
+    }
+    let trigger = signal(&gates, plan.output());
+    let payload = match kind {
+        PayloadKind::Flip => nl.add_gate("ht0_payload", GateKind::Xor, vec![payload_net, trigger]),
+        PayloadKind::ForceOne => {
+            nl.add_gate("ht0_payload", GateKind::Or, vec![payload_net, trigger])
+        }
+        PayloadKind::ForceZero => {
+            let ninv = nl
+                .add_gate("ht0_ninv", GateKind::Not, vec![trigger])
+                .unwrap();
+            nl.add_gate("ht0_payload", GateKind::And, vec![payload_net, ninv])
+        }
+    };
+    nl.splice_driver(payload_net, payload.unwrap());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// `insert_trojan_with` checks each design locally and keeps the
+    /// host's level column through the edit. On random DAG hosts, random
+    /// leaves and payload nets (safe and unsafe), its verdict equals a
+    /// full `validate` of the same edit made on a never-levelized copy,
+    /// and the column it keeps equals a full levelization.
+    #[test]
+    fn incremental_levels_match_a_full_levelization(
+        seed in any::<u64>(),
+        inputs in 2usize..8,
+        gates in 4usize..60,
+        q in 1usize..6,
+        kind in 0usize..3,
+        pick_safe in any::<bool>(),
+        pick in any::<u64>(),
+    ) {
+        let host = random_dag(seed, inputs, gates);
+        host.validate().unwrap();
+        let mut rng = StdRng::seed_from_u64(pick);
+        let mut leaves: Vec<(NodeId, bool)> = Vec::new();
+        while leaves.len() < q.min(host.node_count()) {
+            let n = NodeId::from_index(rng.gen_range(0..host.node_count()));
+            if leaves.iter().all(|&(l, _)| l != n) {
+                leaves.push((n, rng.gen_bool(0.5)));
+            }
+        }
+        let nodes: Vec<NodeId> = leaves.iter().map(|&(n, _)| n).collect();
+        let safe = safe_payload_candidates(&host, &nodes);
+        let any_gate: Vec<NodeId> = host
+            .node_ids()
+            .filter(|&id| matches!(host.kind(id), NodeKind::Gate(_)))
+            .collect();
+        let from = if pick_safe && !safe.is_empty() { &safe } else { &any_gate };
+        let payload_net = from[rng.gen_range(0..from.len())];
+        let kind = [PayloadKind::Flip, PayloadKind::ForceZero, PayloadKind::ForceOne][kind];
+        let rare: Vec<bool> = leaves.iter().map(|&(_, v)| v).collect();
+        let plan = TriggerPlan::synthesize(&rare, 2 + (pick % 3) as usize);
+
+        let result = insert_trojan_with(
+            &host, &leaves, &plan, payload_net, kind, "0", Cube::all_x(inputs),
+        );
+        let mut fresh = random_dag(seed, inputs, gates);
+        replay_insertion(&mut fresh, &leaves, &plan, payload_net, kind);
+        let verdict = fresh.validate();
+        // The safe set is conservative: a net outside it may still pass.
+        prop_assert!(result.is_ok() || !safe.contains(&payload_net), "a safe net failed");
+        match result {
+            Ok((out, _)) => {
+                prop_assert_eq!(&verdict, &Ok(()));
+                let kept = out.levels().unwrap().to_vec();
+                prop_assert_eq!(&kept, &graph::levelize(&out).unwrap());
+                prop_assert_eq!(kept.as_slice(), fresh.levels().unwrap());
+                prop_assert_eq!(&out.validate(), &Ok(()));
+                fresh.set_name(out.name());
+                prop_assert_eq!(bench::write(&out), bench::write(&fresh));
+            }
+            Err(InsertionError::Netlist(e)) => prop_assert_eq!(&verdict, &Err(e)),
+            Err(e) => prop_assert!(false, "unexpected error {e}"),
+        }
     }
 }
