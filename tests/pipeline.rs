@@ -194,3 +194,75 @@ fn framework_output_is_pinned() {
         (217, (208, 9, 13_018, 4), 4, 0x0acb_1315_2fcb_4e42)
     );
 }
+
+/// FNV-1a over one combined-mode result: the combined netlist's `.bench`
+/// text, then each instance's payload net, trigger inputs and activation
+/// cube, then each degradation note.
+fn combined_digest(
+    combined: &htforge::netlist::Netlist,
+    instances: &[htforge::core::TrojanInstance],
+    notes: &[htforge::obs::DegradationNote],
+) -> u64 {
+    let mut text = bench::write(combined);
+    for t in instances {
+        text.push_str(&format!(
+            "{} {:?} {}\n",
+            t.payload_net.index(),
+            t.trigger_inputs
+                .iter()
+                .map(|&(n, v)| (n.index(), v))
+                .collect::<Vec<_>>(),
+            t.activation_cube
+        ));
+    }
+    for note in notes {
+        text.push_str(&format!("{note}\n"));
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Combined mode's output at the default profile, pinned per seed so
+/// that a change to how instances are placed into one netlist (payload
+/// choice, `m{i}` numbering, the trigger union, skipped instances) that
+/// moves any output byte fails here. s1423 covers the scan-cut path;
+/// c432 at q = 2, N = 40 runs out of payload nets that feed no trigger
+/// and reports skipped instances.
+#[test]
+fn combined_output_is_pinned() {
+    let pinned = |circuit: &str, q: usize, n: usize, seed: u64| {
+        let nl = htforge::circuits::load(circuit).unwrap();
+        let (combined, instances, notes) = InsertionFramework::new(InsertionConfig {
+            trigger_nodes: q,
+            num_instances: n,
+            seed,
+            ..InsertionConfig::default()
+        })
+        .run_combined_with_budget(&nl, &htforge::obs::RunBudget::unlimited())
+        .unwrap();
+        (
+            instances.len(),
+            notes.len(),
+            combined_digest(&combined, &instances, &notes),
+        )
+    };
+    let got: Vec<_> = ["c2670", "s1423"]
+        .iter()
+        .flat_map(|c| (0..4).map(move |seed| pinned(c, 8, 8, seed)))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (8, 0, 0xb228_b6ec_8100_210d),
+            (8, 0, 0x7bb9_63ca_69e8_1a27),
+            (8, 0, 0xeef0_073e_d4b5_9a1b),
+            (8, 0, 0xdc0d_3117_198f_e460),
+            (8, 0, 0x2cdf_f66b_77f4_63fa),
+            (8, 0, 0xe4f6_4b97_f6d8_df54),
+            (8, 0, 0xf47f_e041_6dc0_52f1),
+            (8, 0, 0x32da_6940_6736_2ef7),
+        ]
+    );
+    assert_eq!(pinned("c432", 2, 40, 0), (36, 1, 0x508a_261c_649d_e72f));
+}
