@@ -21,6 +21,7 @@ use htforge_core::{
 use htforge_detect::CoverageEvaluator;
 use htforge_netlist::AreaModel;
 use htforge_obs::RunBudget;
+use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor};
 
 fn main() {
@@ -36,6 +37,7 @@ fn main() {
     // One scan-cut, compiled golden model grades every payload strategy.
     let evaluator = CoverageEvaluator::new(&nl).expect("valid netlist");
     let (comb, prog) = (evaluator.golden(), evaluator.program());
+    let scoap = Scoap::compute(comb).expect("valid netlist");
     let patterns = PatternSet::random(comb.inputs().len(), vectors, 0xAB1A);
     let budget = RunBudget::unlimited();
     let (rare, _) = RareNodeExtractor::new(0.20).extract_budgeted(prog, comb, &patterns, &budget);
@@ -60,8 +62,8 @@ fn main() {
             ..PodemConfig::default()
         };
         let start = std::time::Instant::now();
-        let (graph, _) =
-            CompatGraph::build_budgeted(prog, comb, &rare, config, &budget).expect("combinational");
+        let (graph, _) = CompatGraph::build_budgeted(prog, &scoap, comb, &rare, config, &budget)
+            .expect("combinational");
         let elapsed = start.elapsed();
         let n = graph.len();
         let possible = n * n.saturating_sub(1) / 2;

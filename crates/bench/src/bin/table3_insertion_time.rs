@@ -45,6 +45,7 @@ use htforge_bench::campaign::{row_strings, str_row, Campaign, CircuitOutcome};
 use htforge_bench::{minutes, HarnessOpts, Table};
 use htforge_core::{clique, CompatGraph, InsertionConfig, InsertionFramework};
 use htforge_obs::{write_atomic, Json, RunBudget, RunReport};
+use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 const TARGET_INSTANCES: usize = 100;
@@ -99,15 +100,22 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
     let nl = htforge_circuits::load(name).map_err(|e| e.to_string())?;
     let comb = nl.scan_cut();
     let prog = SimProgram::compile(&comb).map_err(|e| e.to_string())?;
+    let scoap = Scoap::compute(&comb).map_err(|e| e.to_string())?;
 
     // --- proposed: run to completion at its feasible large q --------
     let probe_patterns = PatternSet::random(comb.inputs().len(), p.vectors, 0x733);
     let budget = RunBudget::unlimited();
     let (probe_rare, _) =
         RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &probe_patterns, &budget);
-    let (probe_graph, _) =
-        CompatGraph::build_budgeted(&prog, &comb, &probe_rare, PodemConfig::justify(), &budget)
-            .map_err(|e| e.to_string())?;
+    let (probe_graph, _) = CompatGraph::build_budgeted(
+        &prog,
+        &scoap,
+        &comb,
+        &probe_rare,
+        PodemConfig::justify(),
+        &budget,
+    )
+    .map_err(|e| e.to_string())?;
     let q_prop = clique::max_feasible_size(&probe_graph, 64, 1).max(1);
 
     let prop_start = Instant::now();

@@ -15,6 +15,7 @@ use htforge_atpg::PodemConfig;
 use htforge_bench::{HarnessOpts, Table};
 use htforge_core::{clique, CompatGraph};
 use htforge_obs::RunBudget;
+use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 /// The paper's reported subgraph counts, used as the per-circuit caps
@@ -54,13 +55,20 @@ fn main() {
         let comb = nl.scan_cut();
         let start = Instant::now();
         let prog = SimProgram::compile(&comb).expect("valid netlist");
+        let scoap = Scoap::compute(&comb).expect("valid netlist");
         let patterns = PatternSet::random(comb.inputs().len(), vectors, 0x7AB4);
         let budget = RunBudget::unlimited();
         let (rare, _) =
             RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &patterns, &budget);
-        let (graph, _) =
-            CompatGraph::build_budgeted(&prog, &comb, &rare, PodemConfig::justify(), &budget)
-                .expect("combinational netlist");
+        let (graph, _) = CompatGraph::build_budgeted(
+            &prog,
+            &scoap,
+            &comb,
+            &rare,
+            PodemConfig::justify(),
+            &budget,
+        )
+        .expect("combinational netlist");
         // Pick a trigger count the graph actually supports, probing down
         // from an ambitious q (the paper's per-circuit q varies widely).
         let q = clique::max_feasible_size(&graph, 24, 1).max(1);

@@ -15,6 +15,7 @@ use htforge_bench::{HarnessOpts, Table};
 use htforge_core::{clique, CompatGraph, InsertionConfig, InsertionFramework};
 use htforge_netlist::{AreaModel, AreaReport};
 use htforge_obs::RunBudget;
+use htforge_scoap::Scoap;
 use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 fn main() {
@@ -37,14 +38,21 @@ fn main() {
         let nl = htforge_circuits::load(name).expect("known circuit");
         let comb = nl.scan_cut();
         let prog = SimProgram::compile(&comb).expect("valid netlist");
+        let scoap = Scoap::compute(&comb).expect("valid netlist");
         // Worst case = the largest feasible clique.
         let patterns = PatternSet::random(comb.inputs().len(), vectors, 0x7AB5);
         let budget = RunBudget::unlimited();
         let (rare, _) =
             RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &patterns, &budget);
-        let (graph, _) =
-            CompatGraph::build_budgeted(&prog, &comb, &rare, PodemConfig::justify(), &budget)
-                .expect("combinational netlist");
+        let (graph, _) = CompatGraph::build_budgeted(
+            &prog,
+            &scoap,
+            &comb,
+            &rare,
+            PodemConfig::justify(),
+            &budget,
+        )
+        .expect("combinational netlist");
         let upper = if opts.full { 192 } else { 48 };
         let q = clique::max_feasible_size(&graph, upper, 1).max(1);
 

@@ -53,7 +53,7 @@ pub use clique::{enumerate_cliques, Clique};
 pub use compat::{CompatGraph, RareEvent};
 pub use error::InsertionError;
 pub use framework::{
-    InfectedDesign, InsertionConfig, InsertionFramework, InsertionOutcome, PhaseTimings,
+    InfectedDesign, InsertionConfig, InsertionFramework, InsertionOutcome, PhaseTimings, Prologue,
     DEFAULT_STAGE_WEIGHTS, STAGED_PHASES,
 };
 pub use insert::{TrojanEmitter, TrojanInstance};

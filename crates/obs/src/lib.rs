@@ -4,9 +4,9 @@
 //! htforge crate (see `DESIGN.md` §8 for the architecture):
 //!
 //! * **Spans** ([`Recorder::span`]) — hierarchical, monotonic-clock
-//!   timed sections; the pipeline phases (`rare_extraction`, `podem`,
-//!   `compat_graph`, `clique_enumeration`, `insertion`, `validation`)
-//!   are spans.
+//!   timed sections; the pipeline phases (`rare_extraction`,
+//!   `compat_graph`, `compat_cubes`, `podem`, `clique_enumeration`,
+//!   `insertion`, `validation`) are spans.
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free
 //!   handles fetched once and updated from hot loops and scoped worker
 //!   threads.

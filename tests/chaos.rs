@@ -214,8 +214,10 @@ fn truncated_matrix_stays_symmetric() {
         Action::Delay(Duration::from_millis(20)),
     );
     let prog = htforge::sim::SimProgram::compile(&nl).unwrap();
+    let scoap = htforge::scoap::Scoap::compute(&nl).unwrap();
     let budget = RunBudget::with_deadline(Duration::from_secs(2));
-    let result = CompatGraph::build_budgeted(&prog, &nl, &rare, PodemConfig::justify(), &budget);
+    let result =
+        CompatGraph::build_budgeted(&prog, &scoap, &nl, &rare, PodemConfig::justify(), &budget);
     disarm_all();
     let (graph, notes) = result.unwrap();
     assert!(

@@ -10,7 +10,7 @@ use htforge::obs::{self, Json, RunReport};
 const PHASES: [&str; 7] = [
     "insertion_pipeline",
     "rare_extraction",
-    "podem",
+    "compat_cubes",
     "compat_graph",
     "clique_enumeration",
     "insertion",
