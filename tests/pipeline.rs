@@ -266,3 +266,79 @@ fn combined_output_is_pinned() {
     );
     assert_eq!(pinned("c432", 2, 40, 0), (36, 1, 0x508a_261c_649d_e72f));
 }
+
+/// PODEM's verdicts on c2670's rare events (θ = 0.2 over the 10 000
+/// seed-1 vectors `htforge rare` and `htforge grade` profile with),
+/// pinned so that a change to the search (objective, backtrace,
+/// implication) that moves any verdict or cube fails here. Justify mode
+/// runs at the default backtrack limit, as the compatibility graph's
+/// Phase A does; detect mode runs at ND-ATPG's limit of 16, SCOAP-guided
+/// and then under two backtrace seeds, as ND-ATPG does.
+#[test]
+fn podem_results_are_pinned() {
+    use htforge::atpg::{Fault, Podem, PodemConfig, PodemMode, TestResult};
+    use htforge::sim::RareNodeExtractor;
+
+    let nl = htforge::circuits::load("c2670").unwrap();
+    let patterns = PatternSet::random(nl.inputs().len(), 10_000, 1);
+    let rare = RareNodeExtractor::new(0.20)
+        .extract(&nl, &patterns)
+        .unwrap();
+    let faults: Vec<Fault> = rare
+        .iter()
+        .map(|r| Fault::for_rare_event(r.node, r.rare_value))
+        .collect();
+    // (tests, untestable, aborted, FNV-1a over one line per run).
+    let tally = |podem: &mut Podem, seeds: &[Option<u64>]| {
+        let mut counts = (0usize, 0usize, 0usize);
+        let mut text = String::new();
+        for &fault in &faults {
+            for &seed in seeds {
+                podem.reseed(seed);
+                let line = match podem.generate(fault) {
+                    TestResult::Test(cube) => {
+                        counts.0 += 1;
+                        format!("{cube}")
+                    }
+                    TestResult::Untestable => {
+                        counts.1 += 1;
+                        "untestable".to_owned()
+                    }
+                    TestResult::Aborted => {
+                        counts.2 += 1;
+                        "aborted".to_owned()
+                    }
+                    TestResult::TimedOut => unreachable!("no run budget is set"),
+                };
+                text.push_str(&format!("{fault} {seed:?} {line}\n"));
+            }
+        }
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (counts.0, counts.1, counts.2, digest)
+    };
+
+    let mut justify = Podem::new(&nl, PodemConfig::justify()).unwrap();
+    let mut detect = Podem::new(
+        &nl,
+        PodemConfig {
+            mode: PodemMode::Detect,
+            backtrack_limit: 16,
+            random_seed: None,
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        (
+            faults.len(),
+            tally(&mut justify, &[None]),
+            tally(&mut detect, &[None, Some(1), Some(2)]),
+        ),
+        (
+            326,
+            (322, 1, 3, 0xfd5a_9fe0_3f02_f73c),
+            (945, 6, 27, 0xb376_b4f1_10f5_fcd1),
+        )
+    );
+}
