@@ -46,11 +46,7 @@ impl TrojanInstance {
     /// Total inserted gate count (trigger tree + payload splice gates).
     #[must_use]
     pub fn inserted_gate_count(&self) -> usize {
-        let payload_gates = match self.payload_kind {
-            PayloadKind::Flip | PayloadKind::ForceOne => 1,
-            PayloadKind::ForceZero => 2, // inverter + AND
-        };
-        self.trigger_gates.len() + payload_gates
+        self.trigger_gates.len() + self.payload_kind.gate_count()
     }
 }
 
@@ -126,33 +122,45 @@ impl<'a> TrojanEmitter<'a> {
         let payload_net = self
             .payload_net(&reach, &[], payload)
             .ok_or(InsertionError::NoPayloadNet)?;
-        let (netlist, trojan) =
-            self.insert_into(self.host, leaves, payload_net, tag, activation_cube)?;
+        let (netlist, trojan) = insert_trojan_with(
+            self.host,
+            leaves,
+            &self.plan(leaves),
+            payload_net,
+            self.payload_kind,
+            tag,
+            activation_cube,
+        )?;
         Ok(InfectedDesign { netlist, trojan })
     }
 
     /// Synthesizes the trigger tree over `leaves` and inserts it, with the
-    /// payload splice over `payload_net`, into a copy of `base`: the host
-    /// or a netlist grown from it by earlier insertions.
+    /// payload splice over `payload_net`, into `out` in place: a netlist
+    /// grown from the host by earlier insertions. `out` is renamed
+    /// `{name}_{tag}`, as [`insert_trojan_with`] names its copy.
     pub(crate) fn insert_into(
         &self,
-        base: &Netlist,
+        out: &mut Netlist,
         leaves: &[(NodeId, bool)],
         payload_net: NodeId,
         tag: &str,
         activation_cube: Cube,
-    ) -> Result<(Netlist, TrojanInstance), InsertionError> {
-        let rare_values: Vec<bool> = leaves.iter().map(|&(_, v)| v).collect();
-        let plan = TriggerPlan::synthesize(&rare_values, self.max_fanin);
-        insert_trojan_with(
-            base,
+    ) -> Result<TrojanInstance, InsertionError> {
+        grow_trojan(
+            out,
             leaves,
-            &plan,
+            &self.plan(leaves),
             payload_net,
             self.payload_kind,
             tag,
             activation_cube,
         )
+    }
+
+    /// The trigger tree over `leaves`' rare values.
+    fn plan(&self, leaves: &[(NodeId, bool)]) -> TriggerPlan {
+        let rare_values: Vec<bool> = leaves.iter().map(|&(_, v)| v).collect();
+        TriggerPlan::synthesize(&rare_values, self.max_fanin)
     }
 
     /// The payload net by `payload` among the host gates that are safe
@@ -204,6 +212,8 @@ impl<'a> TrojanEmitter<'a> {
 ///   it, and [`Netlist::add_gate`] and [`Netlist::splice_driver`] keep it
 ///   up to date. Reading it afterwards proves acyclicity; a cycle drops
 ///   it, and the full levelization that follows names the cycle.
+/// * The copy has room for the trojan's gates, so adding them
+///   re-allocates none of its columns.
 /// * `add_gate` checks each new gate's arity, and it and
 ///   `splice_driver` keep fan-ins and fan-outs consistent; the nodes they
 ///   touched (the new gates, the payload net and its former consumers)
@@ -243,8 +253,40 @@ pub fn insert_trojan_with(
         "plan must be built from these leaves' rare values"
     );
     nl.levels()?;
-    let mut out = nl.clone();
-    out.set_name(format!("{}_{tag}", nl.name()));
+    let payload_gates = payload_kind.gate_count();
+    let trigger_edges: usize = plan.gates().iter().map(|g| g.inputs.len()).sum();
+    // The payload gates have one fan-in more than their count.
+    let mut out = nl.clone_with_room(
+        plan.gates().len() + payload_gates,
+        trigger_edges + payload_gates + 1,
+    );
+    let trojan = grow_trojan(
+        &mut out,
+        leaves,
+        plan,
+        payload_net,
+        payload_kind,
+        tag,
+        activation_cube,
+    )?;
+    Ok((out, trojan))
+}
+
+/// [`insert_trojan_with`]'s edit, made on `out` in place: `out` is
+/// renamed `{name}_{tag}` and gains the trojan. The checks are the ones
+/// [`insert_trojan_with`] documents, and they need `out` structurally
+/// valid beforehand.
+fn grow_trojan(
+    out: &mut Netlist,
+    leaves: &[(NodeId, bool)],
+    plan: &TriggerPlan,
+    payload_net: NodeId,
+    payload_kind: PayloadKind,
+    tag: &str,
+    activation_cube: Cube,
+) -> Result<TrojanInstance, InsertionError> {
+    out.levels()?;
+    out.set_name(format!("{}_{tag}", out.name()));
 
     let mut gate_ids: Vec<NodeId> = Vec::with_capacity(plan.gates().len());
     for (k, gate) in plan.gates().iter().enumerate() {
@@ -298,21 +340,18 @@ pub fn insert_trojan_with(
         .chain([payload_net])
         .chain(out.fanouts(payload_gate).iter().copied());
     for id in touched {
-        check_node(&out, id)?;
+        check_node(out, id)?;
     }
 
-    Ok((
-        out,
-        TrojanInstance {
-            trigger_inputs: leaves.to_vec(),
-            trigger_gates: gate_ids,
-            trigger_output,
-            payload_net,
-            payload_kind,
-            payload_gate,
-            activation_cube,
-        },
-    ))
+    Ok(TrojanInstance {
+        trigger_inputs: leaves.to_vec(),
+        trigger_gates: gate_ids,
+        trigger_output,
+        payload_net,
+        payload_kind,
+        payload_gate,
+        activation_cube,
+    })
 }
 
 /// Whether each fan-in and fan-out edge of `id` is recorded at both

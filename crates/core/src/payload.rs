@@ -30,6 +30,17 @@ pub enum PayloadKind {
     ForceOne,
 }
 
+impl PayloadKind {
+    /// Gates the splice inserts: one, or an inverter and an AND for
+    /// `ForceZero`.
+    pub(crate) fn gate_count(self) -> usize {
+        match self {
+            PayloadKind::Flip | PayloadKind::ForceOne => 1,
+            PayloadKind::ForceZero => 2,
+        }
+    }
+}
+
 /// How the payload net is picked among the acyclicity-safe candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadStrategy {

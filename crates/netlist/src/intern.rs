@@ -117,6 +117,22 @@ impl SymbolTable {
         }
     }
 
+    /// A copy with room for `names` more names of `bytes` more bytes in
+    /// total, so interning them does not re-allocate the arena or the
+    /// span column.
+    #[must_use]
+    pub fn clone_with_room(&self, names: usize, bytes: usize) -> Self {
+        let mut arena = String::with_capacity(self.arena.len() + bytes);
+        arena.push_str(&self.arena);
+        let mut spans = Vec::with_capacity(self.spans.len() + names);
+        spans.extend_from_slice(&self.spans);
+        SymbolTable {
+            arena,
+            spans,
+            table: self.table.clone(),
+        }
+    }
+
     /// Number of distinct interned names.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -95,6 +95,13 @@ pub(crate) const KIND_GATE_BASE: u8 = 2;
 /// `atom → node` slot for atoms with no node.
 const NO_NODE: u32 = u32::MAX;
 
+/// Name bytes [`Netlist::clone_with_room`] reserves per added node.
+const NAME_BYTES: usize = 16;
+
+/// Fan-out pool entries [`Netlist::clone_with_room`] reserves per added
+/// edge.
+const FANOUT_ROOM: usize = 4;
+
 #[inline]
 pub(crate) fn unpack_kind(packed: u8) -> NodeKind {
     match packed {
@@ -238,6 +245,47 @@ impl Netlist {
             output_flag: Vec::with_capacity(nodes),
             dffs: Vec::new(),
             levels: OnceLock::new(),
+        }
+    }
+
+    /// A copy with room for `nodes` more nodes with `edges` more fan-in
+    /// edges, so the gates an edit adds re-allocate no column. A plain
+    /// clone has exact-length columns, and the first added gate would
+    /// copy each of them again at twice its size.
+    #[must_use]
+    pub fn clone_with_room(&self, nodes: usize, edges: usize) -> Netlist {
+        fn room<T: Copy>(column: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(column.len() + extra);
+            out.extend_from_slice(column);
+            out
+        }
+        let levels = OnceLock::new();
+        if let Some(cached) = self.levels.get() {
+            let _ = levels.set(
+                cached
+                    .as_ref()
+                    .map(|l| room(l, nodes))
+                    .map_err(Clone::clone),
+            );
+        }
+        Netlist {
+            name: self.name.clone(),
+            symbols: self.symbols.clone_with_room(nodes, nodes * NAME_BYTES),
+            node_atom: room(&self.node_atom, nodes),
+            atom_node: room(&self.atom_node, nodes),
+            kinds: room(&self.kinds, nodes),
+            fanin_off: room(&self.fanin_off, nodes),
+            fanin_len: room(&self.fanin_len, nodes),
+            fanin_pool: room(&self.fanin_pool, edges),
+            fanout_off: room(&self.fanout_off, nodes),
+            fanout_len: room(&self.fanout_len, nodes),
+            fanout_cap: room(&self.fanout_cap, nodes),
+            fanout_pool: room(&self.fanout_pool, FANOUT_ROOM * edges),
+            inputs: self.inputs.clone(),
+            outputs: self.outputs.clone(),
+            output_flag: room(&self.output_flag, nodes),
+            dffs: self.dffs.clone(),
+            levels,
         }
     }
 
@@ -1122,6 +1170,30 @@ mod tests {
                 assert!(pos[f.index()] < pos[id.index()]);
             }
         }
+    }
+
+    #[test]
+    fn clone_with_room_is_a_clone_that_grows_in_place() {
+        let nl = half_adder();
+        nl.levels().unwrap();
+        let mut copy = nl.clone_with_room(2, 3);
+        assert_eq!(crate::bench::write(&copy), crate::bench::write(&nl));
+        assert_eq!(copy.levels().unwrap(), nl.levels().unwrap());
+        let columns = |n: &Netlist| {
+            (
+                n.kinds.as_ptr(),
+                n.fanin_pool.as_ptr(),
+                n.fanout_pool.as_ptr(),
+                n.symbols.arena_bytes(),
+            )
+        };
+        let before = columns(&copy);
+        let (s, c) = (copy.find("s").unwrap(), copy.find("c").unwrap());
+        let t = copy.add_gate("t", GateKind::Or, vec![s, c]).unwrap();
+        copy.add_gate("u", GateKind::Not, vec![t]).unwrap();
+        assert_eq!(columns(&copy), before, "the added gates re-allocated");
+        assert_eq!(copy.levels().unwrap()[t.index()], 2);
+        assert_eq!(nl.node_count(), 4);
     }
 
     #[test]
