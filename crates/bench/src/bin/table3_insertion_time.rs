@@ -43,10 +43,8 @@ use htforge_atpg::PodemConfig;
 use htforge_baselines::{RandomInserter, RlConfig, RlInserter, ValidationBudget};
 use htforge_bench::campaign::{row_strings, str_row, Campaign, CircuitOutcome};
 use htforge_bench::{minutes, HarnessOpts, Table};
-use htforge_core::{clique, CompatGraph, InsertionConfig, InsertionFramework};
+use htforge_core::{clique, InsertionConfig, InsertionFramework, Prologue};
 use htforge_obs::{write_atomic, Json, RunBudget, RunReport};
-use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 const TARGET_INSTANCES: usize = 100;
 const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -93,39 +91,34 @@ struct Params {
 /// Runs all three frameworks on one circuit; the returned payload is
 /// everything needed to rebuild this circuit's table rows on resume.
 fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
-    // One run report per circuit: clear the spans and counters left by
-    // the previous iteration, run the proposed pipeline, then snapshot
-    // before the (untimed-phase) baselines muddy the water.
-    htforge_obs::global().reset();
     let nl = htforge_circuits::load(name).map_err(|e| e.to_string())?;
-    let comb = nl.scan_cut();
-    let prog = SimProgram::compile(&comb).map_err(|e| e.to_string())?;
-    let scoap = Scoap::compute(&comb).map_err(|e| e.to_string())?;
 
     // --- proposed: run to completion at its feasible large q --------
-    let probe_patterns = PatternSet::random(comb.inputs().len(), p.vectors, 0x733);
-    let budget = RunBudget::unlimited();
-    let (probe_rare, _) =
-        RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &probe_patterns, &budget);
-    let (probe_graph, _) = CompatGraph::build_budgeted(
-        &prog,
-        &scoap,
-        &comb,
-        &probe_rare,
-        PodemConfig::justify(),
-        &budget,
-    )
-    .map_err(|e| e.to_string())?;
-    let q_prop = clique::max_feasible_size(&probe_graph, 64, 1).max(1);
-
-    let prop_start = Instant::now();
-    let prop_outcome = InsertionFramework::new(InsertionConfig {
+    // The probe profiles as the framework run does.
+    let config = InsertionConfig {
         theta: 0.20,
         num_vectors: p.vectors,
-        trigger_nodes: q_prop,
+        // No floor for the probe: q is what its graph supports.
+        trigger_nodes: 0,
         num_instances: TARGET_INSTANCES,
         seed: 0x733,
         ..InsertionConfig::default()
+    };
+    let budget = RunBudget::unlimited();
+    let probe = Prologue::run(&nl, &config, &budget).map_err(|e| e.to_string())?;
+    let (probe_graph, _) = probe
+        .compat_graph(PodemConfig::justify(), &budget)
+        .map_err(|e| e.to_string())?;
+    let q_prop = clique::max_feasible_size(&probe_graph, 64, 1).max(1);
+
+    // One run report per circuit: clear the spans and counters left by
+    // the previous iteration and the probe, run the proposed pipeline,
+    // then snapshot before the (untimed-phase) baselines muddy the water.
+    htforge_obs::global().reset();
+    let prop_start = Instant::now();
+    let prop_outcome = InsertionFramework::new(InsertionConfig {
+        trigger_nodes: q_prop,
+        ..config
     })
     .run(&nl);
     let prop_elapsed = prop_start.elapsed();
@@ -163,7 +156,7 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
         .map_err(|e| format!("write run report: {e}"))?;
 
     // --- random: time-boxed candidate/validate loop ------------------
-    let q_rand = 10.min(probe_rare.len().max(4) / 2).max(2);
+    let q_rand = 10.min(probe.rare.len().max(4) / 2).max(2);
     let rand_start = Instant::now();
     let mut rand_produced = 0usize;
     let mut round = 0u64;
@@ -185,7 +178,7 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
     let (rand_tt, rand_min) = extrapolate(rand_start.elapsed(), rand_produced);
 
     // --- RL: time-boxed training/validation --------------------------
-    let q_rl = 5.min(probe_rare.len()).max(2);
+    let q_rl = 5.min(probe.rare.len()).max(2);
     let rl_start = Instant::now();
     let mut rl_produced = 0usize;
     let mut round = 0u64;

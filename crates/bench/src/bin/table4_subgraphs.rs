@@ -13,10 +13,8 @@ use std::time::Instant;
 
 use htforge_atpg::PodemConfig;
 use htforge_bench::{HarnessOpts, Table};
-use htforge_core::{clique, CompatGraph};
+use htforge_core::{clique, InsertionConfig, Prologue};
 use htforge_obs::RunBudget;
-use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 /// The paper's reported subgraph counts, used as the per-circuit caps
 /// (Table IV caps enumeration, it does not exhaust the graph).
@@ -52,23 +50,20 @@ fn main() {
 
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = nl.scan_cut();
         let start = Instant::now();
-        let prog = SimProgram::compile(&comb).expect("valid netlist");
-        let scoap = Scoap::compute(&comb).expect("valid netlist");
-        let patterns = PatternSet::random(comb.inputs().len(), vectors, 0x7AB4);
+        let config = InsertionConfig {
+            theta: 0.20,
+            num_vectors: vectors,
+            // No floor: the table reports whatever the profile finds.
+            trigger_nodes: 0,
+            seed: 0x7AB4,
+            ..InsertionConfig::default()
+        };
         let budget = RunBudget::unlimited();
-        let (rare, _) =
-            RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &patterns, &budget);
-        let (graph, _) = CompatGraph::build_budgeted(
-            &prog,
-            &scoap,
-            &comb,
-            &rare,
-            PodemConfig::justify(),
-            &budget,
-        )
-        .expect("combinational netlist");
+        let run = Prologue::run(&nl, &config, &budget).expect("valid netlist");
+        let (graph, _) = run
+            .compat_graph(PodemConfig::justify(), &budget)
+            .expect("combinational netlist");
         // Pick a trigger count the graph actually supports, probing down
         // from an ambitious q (the paper's per-circuit q varies widely).
         let q = clique::max_feasible_size(&graph, 24, 1).max(1);
@@ -77,7 +72,7 @@ fn main() {
         let elapsed = start.elapsed();
         table.row(vec![
             name.clone(),
-            rare.len().to_string(),
+            run.rare.len().to_string(),
             graph.len().to_string(),
             graph.edge_count().to_string(),
             q.to_string(),

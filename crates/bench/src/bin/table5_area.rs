@@ -12,11 +12,9 @@
 
 use htforge_atpg::PodemConfig;
 use htforge_bench::{HarnessOpts, Table};
-use htforge_core::{clique, CompatGraph, InsertionConfig, InsertionFramework};
+use htforge_core::{clique, InsertionConfig, InsertionFramework, Prologue};
 use htforge_netlist::{AreaModel, AreaReport};
 use htforge_obs::RunBudget;
-use htforge_scoap::Scoap;
-use htforge_sim::{PatternSet, RareNodeExtractor, SimProgram};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -36,33 +34,28 @@ fn main() {
 
     for name in &circuits {
         let nl = htforge_circuits::load(name).expect("known circuit");
-        let comb = nl.scan_cut();
-        let prog = SimProgram::compile(&comb).expect("valid netlist");
-        let scoap = Scoap::compute(&comb).expect("valid netlist");
-        // Worst case = the largest feasible clique.
-        let patterns = PatternSet::random(comb.inputs().len(), vectors, 0x7AB5);
+        // The probe and the framework run profile alike.
+        let config = InsertionConfig {
+            theta: 0.20,
+            num_vectors: vectors,
+            // No floor for the probe: q is what its graph supports.
+            trigger_nodes: 0,
+            num_instances: 1,
+            seed: 0x7AB5,
+            ..InsertionConfig::default()
+        };
         let budget = RunBudget::unlimited();
-        let (rare, _) =
-            RareNodeExtractor::new(0.20).extract_budgeted(&prog, &comb, &patterns, &budget);
-        let (graph, _) = CompatGraph::build_budgeted(
-            &prog,
-            &scoap,
-            &comb,
-            &rare,
-            PodemConfig::justify(),
-            &budget,
-        )
-        .expect("combinational netlist");
+        let (graph, _) = Prologue::run(&nl, &config, &budget)
+            .expect("valid netlist")
+            .compat_graph(PodemConfig::justify(), &budget)
+            .expect("combinational netlist");
+        // Worst case = the largest feasible clique.
         let upper = if opts.full { 192 } else { 48 };
         let q = clique::max_feasible_size(&graph, upper, 1).max(1);
 
         let config = InsertionConfig {
-            theta: 0.20,
-            num_vectors: vectors,
             trigger_nodes: q,
-            num_instances: 1,
-            seed: 0x7AB5,
-            ..InsertionConfig::default()
+            ..config
         };
         let outcome = match InsertionFramework::new(config).run(&nl) {
             Ok(o) => o,
