@@ -125,20 +125,31 @@ impl fmt::Display for Tri {
     }
 }
 
-/// Evaluates a gate in three-valued logic.
+/// Evaluates a gate in three-valued logic over its fan-in values, in
+/// gate-input order. Callers holding a value per node pass the fan-ins'
+/// values straight off that column, with no copy.
+///
+/// # Panics
+///
+/// Panics if `fanins` is empty.
 #[must_use]
-pub fn eval_gate_tri(kind: htforge_netlist::GateKind, fanins: &[Tri]) -> Tri {
+pub fn eval_gate_tri(
+    kind: htforge_netlist::GateKind,
+    fanins: impl IntoIterator<Item = Tri>,
+) -> Tri {
     use htforge_netlist::GateKind;
-    assert!(!fanins.is_empty(), "gate evaluated with no fan-ins");
-    match kind {
-        GateKind::And => fanins.iter().fold(Tri::One, |a, &b| a.and(b)),
-        GateKind::Nand => fanins.iter().fold(Tri::One, |a, &b| a.and(b)).not(),
-        GateKind::Or => fanins.iter().fold(Tri::Zero, |a, &b| a.or(b)),
-        GateKind::Nor => fanins.iter().fold(Tri::Zero, |a, &b| a.or(b)).not(),
-        GateKind::Xor => fanins.iter().fold(Tri::Zero, |a, &b| a.xor(b)),
-        GateKind::Xnor => fanins.iter().fold(Tri::Zero, |a, &b| a.xor(b)).not(),
-        GateKind::Not => fanins[0].not(),
-        GateKind::Buf => fanins[0],
+    let mut ins = fanins.into_iter();
+    let first = ins.next().expect("gate evaluated with no fan-ins");
+    let base = match kind {
+        GateKind::And | GateKind::Nand => ins.fold(first, Tri::and),
+        GateKind::Or | GateKind::Nor => ins.fold(first, Tri::or),
+        GateKind::Xor | GateKind::Xnor => ins.fold(first, Tri::xor),
+        GateKind::Buf | GateKind::Not => first,
+    };
+    if kind.is_inverting() {
+        base.not()
+    } else {
+        base
     }
 }
 
@@ -166,13 +177,10 @@ pub fn simulate_tri(nl: &Netlist, assignment: &[Tri]) -> Result<Vec<Tri>, Netlis
     for (pos, &id) in nl.inputs().iter().enumerate() {
         values[id.index()] = assignment[pos];
     }
-    let mut scratch: Vec<Tri> = Vec::new();
     for id in order {
-        let node = nl.node(id);
-        if let NodeKind::Gate(kind) = node.kind() {
-            scratch.clear();
-            scratch.extend(node.fanins().iter().map(|f| values[f.index()]));
-            values[id.index()] = eval_gate_tri(kind, &scratch);
+        if let NodeKind::Gate(kind) = nl.kind(id) {
+            values[id.index()] =
+                eval_gate_tri(kind, nl.fanins(id).iter().map(|f| values[f.index()]));
         }
     }
     Ok(values)
@@ -257,7 +265,7 @@ mod tests {
                 let bools: Vec<bool> = (0..arity).map(|i| (pattern >> i) & 1 == 1).collect();
                 let tris: Vec<Tri> = bools.iter().map(|&b| Tri::from_bool(b)).collect();
                 assert_eq!(
-                    eval_gate_tri(kind, &tris),
+                    eval_gate_tri(kind, tris.iter().copied()),
                     Tri::from_bool(kind.eval_bool(&bools)),
                     "{kind} {pattern:b}"
                 );

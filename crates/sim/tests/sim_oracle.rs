@@ -147,8 +147,7 @@ proptest! {
     fn tri_gate_eval_conservative(kind_idx in 0usize..8, arity in 1usize..5) {
         let kind = GateKind::ALL[kind_idx];
         let arity = if kind.is_unary() { 1 } else { arity.max(1) };
-        let all_x = vec![Tri::X; arity];
-        let out = eval_gate_tri(kind, &all_x);
+        let out = eval_gate_tri(kind, vec![Tri::X; arity]);
         prop_assert_eq!(out, Tri::X, "{} of all-X must be X", kind);
     }
 }
