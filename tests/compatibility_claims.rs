@@ -102,3 +102,37 @@ fn c6288_multiplier_has_sparse_rare_profile() {
         "multiplier rare fraction {fraction:.3} at θ=5% should be tiny"
     );
 }
+
+/// Every vertex (node, rare value, cube) and every adjacency row of the
+/// graph Phase A and Phase B build on c2670 and c3540 under the CLI rare
+/// profile (θ = 0.2 over the 10 000 seed-1 vectors), pinned so that a
+/// change to how cubes are found or how the matrix is filled that moves
+/// any vertex or any edge fails here.
+#[test]
+fn compat_graph_is_pinned() {
+    let pinned = |circuit: &str| {
+        let nl = htforge::circuits::load(circuit).unwrap();
+        let patterns = PatternSet::random(nl.inputs().len(), 10_000, 1);
+        let rare = RareNodeExtractor::new(0.20)
+            .extract(&nl, &patterns)
+            .unwrap();
+        let graph = CompatGraph::build(&nl, &rare, PodemConfig::justify()).unwrap();
+        let mut text = String::new();
+        for e in graph.events() {
+            text.push_str(&format!("{} {} {}\n", e.node.index(), e.rare_value, e.cube));
+        }
+        for i in 0..graph.len() {
+            let row: String = (0..graph.len())
+                .map(|j| if graph.compatible(i, j) { '1' } else { '0' })
+                .collect();
+            text.push_str(&row);
+            text.push('\n');
+        }
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (graph.len(), graph.edge_count(), graph.dropped(), digest)
+    };
+    assert_eq!(pinned("c2670"), (323, 35381, 3, 0x32e2_5ad8_44e1_140d));
+    assert_eq!(pinned("c3540"), (527, 27960, 15, 0xee74_09cf_13bd_9a50));
+}
