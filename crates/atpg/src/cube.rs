@@ -169,28 +169,6 @@ impl Cube {
             .collect()
     }
 
-    /// Bit-packs the cube into `(care0, care1)` masks: bit `i` of
-    /// `care0` is set iff input `i` is assigned 0, dually for `care1`.
-    ///
-    /// Two cubes conflict iff
-    /// `(a.care0 & b.care1) | (a.care1 & b.care0) ≠ 0`, which lets bulk
-    /// pairwise compatibility checks (Algorithm 2's inner loop) run on
-    /// whole words instead of per-bit values.
-    #[must_use]
-    pub fn care_masks(&self) -> (Vec<u64>, Vec<u64>) {
-        let words = self.bits.len().div_ceil(64);
-        let mut care0 = vec![0u64; words];
-        let mut care1 = vec![0u64; words];
-        for (i, b) in self.bits.iter().enumerate() {
-            match b {
-                Tri::Zero => care0[i / 64] |= 1 << (i % 64),
-                Tri::One => care1[i / 64] |= 1 << (i % 64),
-                Tri::X => {}
-            }
-        }
-        (care0, care1)
-    }
-
     /// `true` iff the full vector `v` lies inside this cube (agrees on all
     /// care bits).
     ///
@@ -288,35 +266,5 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let _ = Cube::all_x(2).compatible(&Cube::all_x(3));
-    }
-
-    #[test]
-    fn care_masks_agree_with_compatible() {
-        let mut rng = StdRng::seed_from_u64(3);
-        use rand::Rng;
-        for _ in 0..200 {
-            let width = 70; // spans two words
-            let make = |rng: &mut StdRng| {
-                Cube::from_tris(
-                    (0..width)
-                        .map(|_| match rng.gen_range(0..4) {
-                            0 => Tri::Zero,
-                            1 => Tri::One,
-                            _ => Tri::X,
-                        })
-                        .collect(),
-                )
-            };
-            let a = make(&mut rng);
-            let b = make(&mut rng);
-            let (a0, a1) = a.care_masks();
-            let (b0, b1) = b.care_masks();
-            let packed_conflict = a0
-                .iter()
-                .zip(&b1)
-                .chain(a1.iter().zip(&b0))
-                .any(|(&x, &y)| x & y != 0);
-            assert_eq!(packed_conflict, !a.compatible(&b));
-        }
     }
 }

@@ -2,7 +2,9 @@
 //! random circuits. For every stuck-at fault, the miter's verdict must
 //! say whether some input vector makes a primary output differ between
 //! the good and the faulty circuit, and every model it returns must
-//! detect its fault under fault simulation.
+//! detect its fault under fault simulation. The justification question
+//! ([`MiterSolver::justify`]) is checked the same way against the good
+//! circuit's values.
 
 use proptest::prelude::*;
 
@@ -149,4 +151,49 @@ fn sequential_netlists_are_rejected() {
             .unwrap();
     assert!(MiterSolver::new(&nl).is_err());
     assert!(MiterSolver::new(&nl.scan_cut()).is_ok());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The justification verdict on every node and value equals
+    /// exhaustive enumeration, and every model drives its node to the
+    /// value under `SimProgram`. Each node's stuck-at fault is decided on
+    /// the same solver in between, so neither question leaks state into
+    /// the other.
+    #[test]
+    fn justify_matches_exhaustive_enumeration(
+        num_inputs in 1usize..17,
+        script in proptest::collection::vec(any::<u8>(), 6..240),
+    ) {
+        let nl = build_random_dag(num_inputs, &script);
+        let vectors = all_vectors(num_inputs);
+        let good = simulate(&nl, &vectors, None);
+        let tail = PatternSet::tail_mask(vectors.len());
+        let last = PatternSet::words_for(vectors.len()) - 1;
+        let mut solver = MiterSolver::new(&nl).expect("valid");
+        let prog = SimProgram::compile(&nl).expect("valid");
+        for id in nl.node_ids() {
+            for value in [false, true] {
+                let truth = good[id.index()].iter().enumerate().any(|(w, &bits)| {
+                    let mask = if w == last { tail } else { u64::MAX };
+                    (if value { bits } else { !bits }) & mask != 0
+                });
+                match solver.justify(id, value) {
+                    Verdict::Detectable(model) => {
+                        prop_assert!(truth, "a model for unjustifiable {id:?} = {value}");
+                        let values = prog.run(&PatternSet::from_vectors(num_inputs, &[model]));
+                        prop_assert_eq!(values.value(id, 0), value, "the model misses {:?}", id);
+                    }
+                    Verdict::Undetectable => {
+                        prop_assert!(!truth, "UNSAT on justifiable {id:?} = {value}");
+                    }
+                    Verdict::Unknown => prop_assert!(false, "conflict limit on {id:?}"),
+                }
+                let fault = Fault::stuck_at(id, !value);
+                let detected = !matches!(solver.decide(fault), Verdict::Undetectable);
+                prop_assert_eq!(detected, detectable(&nl, &vectors, &good, fault), "{}", fault);
+            }
+        }
+    }
 }

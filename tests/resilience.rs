@@ -1,9 +1,10 @@
 //! End-to-end resilience properties (`DESIGN.md` §9): wall-clock
 //! deadlines and cross-thread cancellation on paper-scale circuits.
 //!
-//! The synthetic c7552/s38584 substitutes are large enough that an
-//! unbudgeted pipeline run takes many seconds — a deadline in the
-//! hundreds of milliseconds forces the degradation ladder to engage.
+//! An unbudgeted pipeline run at the settings below takes about 150 ms
+//! on c7552 and 0.4–0.55 s on s38584 (release build, 2 vCPUs), so a
+//! deadline of a third of that or less forces the degradation ladder to
+//! engage.
 
 use std::time::{Duration, Instant};
 
@@ -47,12 +48,12 @@ fn assert_deadline_respected(circuit: &str, deadline: Duration, overshoot: Durat
 
 #[test]
 fn c7552_scale_deadline_returns_promptly() {
-    assert_deadline_respected("c7552", Duration::from_millis(500), Duration::from_secs(3));
+    assert_deadline_respected("c7552", Duration::from_millis(50), Duration::from_secs(3));
 }
 
 #[test]
 fn s38584_scale_deadline_returns_promptly() {
-    assert_deadline_respected("s38584", Duration::from_millis(500), Duration::from_secs(3));
+    assert_deadline_respected("s38584", Duration::from_millis(150), Duration::from_secs(3));
 }
 
 #[test]
