@@ -12,9 +12,9 @@
 //! * [`podem`] — the PODEM engine (justify-only and full-detect modes),
 //! * [`lift`] — the justifying sub-cube of a known satisfying vector,
 //!   read off in one backward pass instead of a search,
-//! * [`sat`] — the stuck-at miter as CNF, decided by a CDCL solver: a
-//!   verdict (with a detecting vector) where PODEM aborts, within a
-//!   conflict limit,
+//! * [`sat`] — the stuck-at miter, or one node's justification, as CNF,
+//!   decided by a CDCL solver: a verdict (with a satisfying vector) where
+//!   PODEM aborts, within a conflict limit,
 //! * [`ndetect`] — up-to-N distinct cubes per fault (the ND-ATPG
 //!   detection scheme's primitive), which skips the faults [`sat`]
 //!   proves undetectable,

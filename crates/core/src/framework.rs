@@ -94,7 +94,7 @@ pub struct PhaseTimings {
     pub preprocess: Duration,
     /// Algorithm 1 (simulation + classification).
     pub rare_extraction: Duration,
-    /// PODEM cube generation + pairwise compatibility (Algorithm 2).
+    /// Cube generation + the compatibility matrix (Algorithm 2).
     pub compat_graph: Duration,
     /// Clique enumeration.
     pub clique_enumeration: Duration,

@@ -271,8 +271,8 @@ fn combined_output_is_pinned() {
 /// seed-1 vectors `htforge rare` and `htforge grade` profile with),
 /// pinned so that a change to the search (objective, backtrace,
 /// implication) that moves any verdict or cube fails here. Justify mode
-/// runs at the default backtrack limit, as the compatibility graph's
-/// Phase A does; detect mode runs at ND-ATPG's limit of 16, SCOAP-guided
+/// runs at its limit of 1 000 backtracks, as the compatibility graph's
+/// Phase A does (the same verdicts as at 5 000); detect mode runs at ND-ATPG's limit of 16, SCOAP-guided
 /// and then under two backtrace seeds, as ND-ATPG does.
 #[test]
 fn podem_results_are_pinned() {
