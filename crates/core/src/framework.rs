@@ -21,21 +21,6 @@ use crate::error::InsertionError;
 use crate::insert::{TrojanEmitter, TrojanInstance};
 use crate::payload::{PayloadKind, PayloadStrategy};
 
-/// The budgeted phases, in stage order. (Preprocess and validation run
-/// outside the staged split: the former is sub-millisecond, the latter
-/// is never skipped under pressure.)
-pub const STAGED_PHASES: [&str; 4] = [
-    "rare_extraction",
-    "compat_graph",
-    "clique_enumeration",
-    "insertion",
-];
-
-/// How [`InsertionFramework::run_with_budget`] splits its deadline over
-/// [`STAGED_PHASES`]: 25 % rare, 70 % of the remainder compat, 60 % of
-/// that remainder clique.
-pub const DEFAULT_STAGE_WEIGHTS: [f64; 4] = [0.25, 0.52, 0.14, 0.09];
-
 /// User-facing configuration of the framework — the paper's inputs:
 /// rareness threshold `θ_RN`, vector-set size `|V|`, trigger-node count
 /// `q`, instance count `N`, plus engineering knobs.
@@ -548,9 +533,9 @@ pub struct Prologue {
 
 impl Prologue {
     /// Checks and profiles `host` with `config`'s θ, vector count and
-    /// seed. `budget` is split over [`STAGED_PHASES`] by
-    /// [`DEFAULT_STAGE_WEIGHTS`]; the profile takes the first stage and
-    /// truncates when it runs out.
+    /// seed. `budget` is split in stages over rare extraction, the
+    /// compatibility graph, clique enumeration and insertion; the
+    /// profile takes the first stage and truncates when it runs out.
     ///
     /// # Errors
     ///
@@ -568,11 +553,15 @@ impl Prologue {
         budget
             .check()
             .map_err(|_| budget_error(budget, "preprocess"))?;
-        // Staged split over rare / compat / clique / insertion. A phase
-        // finishing early donates its slack to every later phase (each
-        // stage takes w_i / Σ_{j≥i} w_j of the time remaining at the
-        // moment it starts).
-        let mut stages = budget.staged(&DEFAULT_STAGE_WEIGHTS);
+        // Staged split over rare / compat / clique / insertion: 25 %
+        // rare, 70 % of the remainder compat, 60 % of that remainder
+        // clique. Preprocess and validation run outside it: the former
+        // is sub-millisecond, the latter is never skipped under
+        // pressure. A phase finishing early donates its slack to every
+        // later phase (each stage takes w_i / Σ_{j≥i} w_j of the time
+        // remaining at the moment it starts).
+        const STAGE_WEIGHTS: [f64; 4] = [0.25, 0.52, 0.14, 0.09];
+        let mut stages = budget.staged(&STAGE_WEIGHTS);
         let mut timings = PhaseTimings::default();
 
         // Phase 0: the campaign's one structural check of the host, and

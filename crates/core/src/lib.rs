@@ -54,7 +54,6 @@ pub use compat::{CompatGraph, RareEvent};
 pub use error::InsertionError;
 pub use framework::{
     InfectedDesign, InsertionConfig, InsertionFramework, InsertionOutcome, PhaseTimings, Prologue,
-    DEFAULT_STAGE_WEIGHTS, STAGED_PHASES,
 };
 pub use insert::{TrojanEmitter, TrojanInstance};
 pub use payload::{PayloadKind, PayloadStrategy};

@@ -257,7 +257,7 @@ pub struct ProgressFrame {
     /// Estimated completion of the *job* in `[0, 100]`, when known.
     pub percent: Option<f64>,
     /// Estimated milliseconds until the job completes, when known
-    /// (derived from the staged budget weights or extrapolated).
+    /// (percent frames extrapolate the job's own pace).
     pub eta_ms: Option<f64>,
     /// Free-form detail (degradation notes carry `action: detail`).
     pub detail: Option<String>,

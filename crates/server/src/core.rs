@@ -22,11 +22,10 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use htforge_core::{DEFAULT_STAGE_WEIGHTS, STAGED_PHASES};
 use htforge_obs::faultpoint;
 use htforge_obs::{
-    install_span_hook, isolate, metrics_snapshot_json, CancelToken, JobTimeline, Json, RunBudget,
-    RunReport, SpanEntry, TraceContext,
+    isolate, metrics_snapshot_json, CancelToken, JobTimeline, Json, RunBudget, RunReport,
+    SpanEntry, TraceContext,
 };
 
 use crate::cache::ProgramCache;
@@ -1017,20 +1016,11 @@ impl Core {
     }
 
     /// The progress emitter for one popped job: live when the config
-    /// streams progress, inert otherwise. Phase ETAs use the same
-    /// staged-budget split as the framework.
+    /// streams progress, inert otherwise.
     fn emitter_for(&self, q: &QueuedJob) -> ProgressEmitter {
         if !self.progress_enabled {
             return ProgressEmitter::disabled();
         }
-        let weights = match q.spec.kind {
-            JobKind::Insert | JobKind::Detect => STAGED_PHASES
-                .iter()
-                .map(|p| (*p).to_owned())
-                .zip(DEFAULT_STAGE_WEIGHTS)
-                .collect(),
-            JobKind::Simulate | JobKind::Grade => Vec::new(),
-        };
         let Some(tx) = self.session_sender(q.session) else {
             return ProgressEmitter::disabled();
         };
@@ -1040,7 +1030,6 @@ impl Core {
             q.spec.id.clone(),
             q.spec.kind,
             q.trace.hex(),
-            weights,
         )
     }
 
@@ -1051,13 +1040,8 @@ impl Core {
         let trace = q.trace.hex();
         let progress = Arc::new(self.emitter_for(&q));
         // Everything this worker records — framework spans included —
-        // correlates to the job's root trace; the span hook turns the
-        // pipeline phase spans into streamed progress frames even when
-        // the recorder itself is disabled.
+        // correlates to the job's root trace.
         let _trace_guard = htforge_obs::global().adopt_trace(q.trace);
-        let _hook_guard = progress
-            .is_enabled()
-            .then(|| install_span_hook(progress.span_hook()));
         // `isolate` turns a panicking job — including an armed
         // `server.dispatch:panic` — into a `failed` response; the
         // worker and its siblings keep serving.

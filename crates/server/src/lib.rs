@@ -63,7 +63,7 @@ pub use journal::{
     archive_path, read_records, read_records_with_archive, FsyncPolicy, Journal, JournalConfig,
     JournalEvent, JournalStats, Recovery,
 };
-pub use progress::{ProgressEmitter, PIPELINE_PHASES};
+pub use progress::{ProgressEmitter, JOB_PHASES};
 pub use protocol::{
     parse_request, CircuitSource, JobKind, JobParams, JobProgress, JobResult, JobSpec, JobStatus,
     Request, RequestError, Response, REQUEST_SCHEMA, RESPONSE_SCHEMA,

@@ -25,7 +25,7 @@ use htforge::core::{InsertionConfig, InsertionFramework, PayloadKind};
 use htforge::detect::{DetectionScheme, MeroDetection, NdAtpgDetection, RandomDetection};
 use htforge::netlist::{bench, verilog, AreaModel, Netlist};
 use htforge::obs::{CancelToken, RunBudget};
-use htforge::sim::{PatternSet, RareNodeExtractor, SimProgram};
+use htforge::sim::{PatternSet, RareNodeExtractor, RareNodeSet, SimProgram};
 
 const USAGE: &str = "\
 usage: htforge <command> [options]
@@ -271,19 +271,25 @@ fn cmd_insert(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The `grade`/`detect` rare profile: θ = 0.2 over 10 000 random
+/// vectors of seed 1, under the server's `rare_profile` span.
+fn rare_profile(prog: &SimProgram, comb: &Netlist) -> RareNodeSet {
+    let _span = htforge::obs::span("rare_profile");
+    let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
+    RareNodeExtractor::new(0.20)
+        .extract_budgeted(prog, comb, &patterns, &RunBudget::unlimited())
+        .0
+}
+
 fn cmd_grade(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let n: usize = opts.number("n", 5)?;
     let nl = load_netlist(spec)?;
+    // The same phase spans as a server `grade` job.
+    let _span = htforge::obs::span("grade");
     let comb = nl.scan_cut();
     // One compiled golden model profiles and grades.
     let prog = SimProgram::compile(&comb)?;
-    let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
-    let (rare, _) = RareNodeExtractor::new(0.20).extract_budgeted(
-        &prog,
-        &comb,
-        &patterns,
-        &RunBudget::unlimited(),
-    );
+    let rare = rare_profile(&prog, &comb);
 
     let scheme: Box<dyn DetectionScheme> = match opts.get("scheme").unwrap_or("random") {
         "random" => Box::new(RandomDetection::new(10_000, 7)),
@@ -291,9 +297,14 @@ fn cmd_grade(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         "ndatpg" => Box::new(NdAtpgDetection::new(n, 7)),
         other => return Err(format!("unknown scheme `{other}`").into()),
     };
-    let tests = scheme.generate_tests(&comb, &rare)?;
-    let faults = all_faults(&comb);
-    let report = fault_simulate(&prog, &comb, &faults, &tests);
+    let tests = {
+        let _span = htforge::obs::span("test_generation");
+        scheme.generate_tests(&comb, &rare)?
+    };
+    let report = {
+        let _span = htforge::obs::span("fault_simulation");
+        fault_simulate(&prog, &comb, &all_faults(&comb), &tests)
+    };
     println!(
         "{}: {} tests from {} → stuck-at coverage {:.1}% ({}/{})",
         scheme.name(),
@@ -315,17 +326,13 @@ fn cmd_detect(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         .ok_or("detect requires --infected FILE[,FILE...]")?;
     let n: usize = opts.number("n", 5)?;
     let golden = load_netlist(spec)?;
+    // The same phase spans as a server `detect` job, per scheme.
+    let _span = htforge::obs::span("detect");
     // One scan-cut and one compiled golden model profile and grade
     // every scheme.
     let evaluator = CoverageEvaluator::new(&golden)?;
     let comb = evaluator.golden();
-    let patterns = PatternSet::random(comb.inputs().len(), 10_000, 1);
-    let (rare, _) = RareNodeExtractor::new(0.20).extract_budgeted(
-        evaluator.program(),
-        comb,
-        &patterns,
-        &RunBudget::unlimited(),
-    );
+    let rare = rare_profile(evaluator.program(), comb);
 
     // Reconstruct minimal trojan metadata from the netlists: every
     // htforge-inserted payload gate is named `ht…_payload`; its trigger
@@ -385,8 +392,14 @@ fn cmd_detect(spec: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         designs.len()
     );
     for scheme in &schemes {
-        let tests = scheme.generate_tests(comb, &rare)?;
-        let report = evaluator.evaluate(&designs, &tests)?;
+        let tests = {
+            let _span = htforge::obs::span("test_generation");
+            scheme.generate_tests(comb, &rare)?
+        };
+        let report = {
+            let _span = htforge::obs::span("evaluation");
+            evaluator.evaluate(&designs, &tests)?
+        };
         println!(
             "{:>8}: {} tests, TC {}/{} ({:.1}%), DC {}/{} ({:.1}%)",
             scheme.name(),

@@ -11,6 +11,8 @@
 //!   job (the daemon keeps serving; zero lost jobs),
 //! * a fault in the server's response path degrades the response body
 //!   but still delivers exactly one terminal line per job,
+//! * a server job that times out keeps the phases it ran in its
+//!   terminal timeline,
 //! * a panic on an ND-ATPG worker reaches the caller with its payload.
 //!
 //! Faultpoint arming is process-global, so every test here serializes on
@@ -271,7 +273,7 @@ mod server_chaos {
     //! response-per-job invariant must hold through injected panics,
     //! response faults and progress-emission faults.
 
-    use super::{lock, Action, Duration, Instant};
+    use super::{lock, Action, Duration, Instant, Json};
     use htforge::obs::faultpoint::{arm, disarm_all};
     use htforge::server::{
         CircuitSource, JobKind, JobParams, JobSpec, Request, Response, Server, ServerConfig,
@@ -451,6 +453,63 @@ mod server_chaos {
         server.request_shutdown(false);
         let stats = server.join();
         assert_eq!(stats.completed, 3);
+        assert_eq!(stats.finished(), stats.submitted, "a job went missing");
+    }
+
+    #[test]
+    fn job_timing_out_mid_run_keeps_the_phases_it_ran() {
+        let _gate = lock();
+        disarm_all();
+        let (server, rx) = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+
+        // Placing the one trojan stalls past the deadline. The pipeline
+        // still ends (insertion keeps an instance it has placed), and
+        // the budget check before the detection tail times the job out.
+        arm(
+            "insert.instance",
+            Action::Delay(Duration::from_millis(1_000)),
+        );
+        let spec = JobSpec {
+            kind: JobKind::Detect,
+            deadline_ms: Some(500),
+            params: JobParams {
+                vectors: 512,
+                theta: 0.3,
+                tests: 64,
+                ..JobParams::default()
+            },
+            ..sim_spec("late")
+        };
+        server.handle(Request::Submit(Box::new(spec)));
+        let r = next_result(&rx);
+        disarm_all();
+        assert_eq!(r.status.as_str(), "timeout", "{:?}", r.error);
+        // Its timeline lists the pipeline phases that finished.
+        let timeline = r.timeline.expect("a timeline of the phases that ran");
+        let phases: Vec<&str> = timeline
+            .get("phases")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|p| p.get("phase").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                "preprocess",
+                "rare_extraction",
+                "compat_graph",
+                "clique_enumeration",
+                "insertion",
+                "validation"
+            ]
+        );
+
+        server.request_shutdown(false);
+        let stats = server.join();
         assert_eq!(stats.finished(), stats.submitted, "a job went missing");
     }
 
